@@ -2,10 +2,10 @@
 
 A :class:`MetricsRegistry` names metrics; each metric holds one value
 per label combination (``counter.inc(rule="Rule1")``). Mutation is
-safe under concurrent writers — ``parallel_safe_batches`` may one day
-run batches on real threads, and a shared system-level registry is
-written by every pipeline stage — at the cost of a single lock
-acquisition per update.
+safe under concurrent writers — the serve plane's handler threads
+share one registry, and a shared system-level registry is written by
+every pipeline stage — at the cost of a single lock acquisition per
+update.
 
 The *ambient* registry travels via ``contextvars``: code that cannot
 reasonably thread a registry through its signature (the import/export

@@ -85,7 +85,7 @@ _INTERPRETER_FUNCS: Dict[str, str] = {
     "rule_bindings": "match",
     "_evaluate_calls": "match",
     "_apply_predicates": "match",
-    "_candidates": "match",
+    "_roots_at": "match",
     "_apply_rule_with_shadowing": "match",
     "_construct_outputs": "construct",
     "_on_skolem": "skolem",
@@ -98,16 +98,20 @@ _INTERPRETER_FUNCS: Dict[str, str] = {
 #: Function-level overrides for ``yatl/arena_exec.py``: the batch
 #: engine's matching and head construction count as ``match`` /
 #: ``construct`` (they do the same pipeline work as the tree path);
-#: everything else in the file — interning, encoding, candidate
-#: filtering, run-length grouping — is ``arena`` time, the columnar
-#: representation's own overhead.
+#: everything else in the file — rule compilation, root
+#: materialization, dedup keys — is ``arena`` time, the columnar
+#: representation's own overhead. tests/obs/test_profile.py checks
+#: both function catalogs against the ``def``s of their files.
 _ARENA_EXEC_FUNCS: Dict[str, str] = {
     "match_block": "match",
     "_match_candidates": "match",
-    "_admitted_candidates": "match",
-    "slow_candidates": "match",
     "_construct_groups": "construct",
-    "build": "construct",
+    "build_leaf": "construct",
+    "build_var": "construct",
+    "build_wrap": "construct",
+    "build_ones": "construct",
+    "build_mixed": "construct",
+    "_edge_children": "construct",
     "build_star": "construct",
     "build_group": "construct",
     "build_order": "construct",

@@ -139,24 +139,6 @@ def plan_chunks(n_inputs: int, chunk_size: int) -> List[Tuple[int, int]]:
     ]
 
 
-def plan_chunks_by_count(n_inputs: int, count: int) -> List[Tuple[int, int]]:
-    """Exactly the partitions the deprecated ``parallel_safe_batches``
-    produced (contiguous, near-equal, remainder spread to the front) —
-    kept so the legacy option maps onto the sharded executor without
-    changing a single identifier of existing outputs."""
-    if n_inputs == 0:
-        return []
-    count = min(count, n_inputs)
-    size, remainder = divmod(n_inputs, count)
-    chunks: List[Tuple[int, int]] = []
-    start = 0
-    for index in range(count):
-        stop = start + size + (1 if index < remainder else 0)
-        chunks.append((start, stop))
-        start = stop
-    return chunks
-
-
 # ---------------------------------------------------------------------------
 # Shard specification
 # ---------------------------------------------------------------------------
@@ -426,7 +408,6 @@ def run_sharded(
     *,
     workers: int = 1,
     chunk_size: Optional[int] = None,
-    chunk_count: Optional[int] = None,
     executor: Optional[ParallelExecutor] = None,
     strict_refs: bool = False,
     metrics: Optional[MetricsRegistry] = None,
@@ -434,11 +415,8 @@ def run_sharded(
 ) -> ConversionResult:
     """Shard *store* across the executor and merge deterministically.
 
-    ``chunk_count`` (used only by the deprecated
-    ``parallel_safe_batches`` mapping) partitions into exactly that many
-    chunks with the legacy arithmetic; otherwise the plan comes from
-    ``resolve_chunk_size``/``plan_chunks``. A single-chunk plan falls
-    back to one plain in-process run under the parent's own metrics,
+    The plan comes from ``resolve_chunk_size``/``plan_chunks``. A
+    single-chunk plan falls back to one plain in-process run under the parent's own metrics,
     provenance, and ``strict_refs`` — zero sharding overhead.
     """
     if workers < 1:
@@ -456,10 +434,7 @@ def run_sharded(
     # slices flat columns instead.
     items = None if arena else list(store)
     n_items = len(store) if arena else len(items)
-    if chunk_count is not None:
-        chunks = plan_chunks_by_count(n_items, chunk_count)
-    else:
-        chunks = plan_chunks(n_items, resolve_chunk_size(n_items, chunk_size))
+    chunks = plan_chunks(n_items, resolve_chunk_size(n_items, chunk_size))
 
     effective_workers = executor.workers if executor is not None else workers
 

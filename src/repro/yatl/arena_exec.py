@@ -3,13 +3,14 @@
 The tree path evaluates one ``(rule, subject)`` pair at a time,
 pointer-chasing :class:`~repro.core.trees.Tree` objects.  This module is
 its columnar counterpart for :class:`~repro.core.arena.ArenaStore`
-inputs: dispatch becomes a label-column bucket lookup producing
-candidate *root indices*, root-pattern matching runs as flat comparisons
-over the ``labels``/``n_children`` columns, and head construction
-replays the grouping semantics of :mod:`repro.yatl.construction` over
-plain value tuples.  Rules the compiler cannot express as a flat op
-program fall back to the existing matcher over materialized candidates
-(and only those candidates are ever decoded into trees).
+inputs: a rule receives the candidate *root indices* its dispatch
+signature admits (:class:`~repro.yatl.dispatch.RootView`, shared with
+the tree path), root-pattern matching runs as flat comparisons over the
+``labels``/``n_children`` columns, and head construction replays the
+grouping semantics of :mod:`repro.yatl.construction` over plain value
+tuples.  Rules the compiler cannot express as a flat op program fall
+back to the existing matcher over materialized candidates (and only
+those candidates are ever decoded into trees).
 
 Everything here is replicated from the tree path *exactly* — candidate
 order, binding deduplication (Python ``==``, so ``1``/``True``/``1.0``
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import time
 from operator import itemgetter
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.arena import K_REF, ArenaStore, label_alias_ids
 from ..core.labels import label_sort_key
@@ -63,8 +64,6 @@ class FastRule:
     __slots__ = (
         "rule",
         "name",
-        "root_ids",
-        "root_arity",
         "ops",
         "size",
         "n_slots",
@@ -74,12 +73,9 @@ class FastRule:
         "build",
     )
 
-    def __init__(self, rule, root_ids, root_arity, ops, size, n_slots,
-                 skolem_parts, build):
+    def __init__(self, rule, ops, size, n_slots, skolem_parts, build):
         self.rule = rule
         self.name = rule.name
-        self.root_ids = root_ids
-        self.root_arity = root_arity
         self.ops = ops
         self.size = size
         self.n_slots = n_slots
@@ -443,12 +439,8 @@ def compile_fast_rule(rule: Rule, intern) -> Optional[FastRule]:
     if compiled is None:
         return None
     ops, size = compiled
-    root_op = ops[0]
-    if root_op[0] == OP_VAR:
-        return None  # variable root label: no bucket to dispatch on
-    root_ids = (
-        frozenset((root_op[2],)) if root_op[0] == OP_FIX else root_op[2]
-    )
+    if ops[0][0] == OP_VAR:
+        return None  # variable root label: no label to dispatch on
     skolem_parts = []
     for arg in head.term.args:
         if isinstance(arg, Var):
@@ -466,9 +458,7 @@ def compile_fast_rule(rule: Rule, intern) -> Optional[FastRule]:
     build = _compile_head_tree(head.tree, slots, intern)
     if build is None:
         return None
-    return FastRule(
-        rule, root_ids, root_op[3], ops, size, len(slots), skolem_parts, build
-    )
+    return FastRule(rule, ops, size, len(slots), skolem_parts, build)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +484,6 @@ class ArenaEngine:
         self.arena = store.arena
         self.intern = store.arena.intern
         self._fast: Dict[str, object] = {}
-        self._buckets: Optional[Dict[int, List[int]]] = None
         self.matched_by_index: Dict[int, Set[str]] = {}
         self.converted_indices: Set[int] = set()
         self.converted_keys: Set[tuple] = set()
@@ -511,19 +500,6 @@ class ArenaEngine:
             entry = compile_fast_rule(rule, self.intern)
             self._fast[rule.name] = entry
         return entry  # type: ignore[return-value]
-
-    def root_buckets(self) -> Dict[int, List[int]]:
-        """Root indices bucketed by root label id — the label-column
-        filter standing in for the per-subject dispatch loop. Built once
-        per run with a sort + run-length pass over the roots."""
-        if self._buckets is None:
-            from ..core.arena import group_runs
-
-            labels = self.arena.labels
-            roots = self.arena.roots
-            pairs = [(labels[roots[i]], i) for i in range(len(roots))]
-            self._buckets = dict(group_runs(pairs))
-        return self._buckets
 
     def matched_names(self, index: int) -> Set[str]:
         names = self.matched_by_index.get(index)
@@ -587,90 +563,34 @@ class ArenaEngine:
             self._dedup_keys[index] = key
         return key
 
-    # -- slow path ----------------------------------------------------------
-
-    def slow_candidates(self, rule: Rule) -> List[Tree]:
-        """Materialized candidate roots for a rule the compiler
-        rejected, prefiltered by the rule's dispatch signature over the
-        label/arity columns (only survivors are ever decoded)."""
-        state = self.state
-        store = self.store
-        dispatch = state.interp.dispatch
-        signature = dispatch.signature(rule) if dispatch is not None else None
-        if signature is None:
-            return [self.materialize_root(i) for i in range(len(store))]
-        if signature.refs_only:
-            return []  # store roots are always trees, never references
-        arena = self.arena
-        roots = arena.roots
-        n_children = arena.n_children
-        if signature.labels is not None:
-            ids = signature.label_ids(self.intern)
-            buckets = self.root_buckets()
-            indices: List[int] = []
-            for label_id in ids:
-                indices.extend(buckets.get(label_id, ()))
-            if len(ids) > 1:
-                indices.sort()  # restore input order across buckets
-        elif signature.domain is not None:
-            value_of = self.intern.value
-            domain = signature.domain
-            admitted = {
-                label_id
-                for label_id in self.root_buckets()
-                if domain.contains(value_of(label_id))
-            }
-            labels = arena.labels
-            indices = [
-                i for i in range(len(store)) if labels[roots[i]] in admitted
-            ]
-        else:
-            indices = list(range(len(store)))
-        if signature.unbounded:
-            if signature.min_children:
-                minimum = signature.min_children
-                indices = [i for i in indices if n_children[roots[i]] >= minimum]
-        else:
-            exact = signature.min_children
-            indices = [i for i in indices if n_children[roots[i]] == exact]
-        return [self.materialize_root(i) for i in indices]
-
-    def unconverted_inputs(self) -> List[Tree]:
-        """The inputs no rule converted, in store order — checking the
+    def unconverted_indices(self) -> List[int]:
+        """The roots no rule converted, in store order — checking the
         cheap index/value keys before falling back to materialization
         (fallback rules and the demand loop mark trees, not indices)."""
         state = self.state
-        leftovers: List[Tree] = []
+        leftovers: List[int] = []
         for index in range(len(self.store)):
             if index in self.converted_indices:
                 continue
             if self.dedup_key(index) in self.converted_keys:
                 continue
-            tree = self.materialize_root(index)
-            if state._converted(tree):
+            if state._converted(self.materialize_root(index)):
                 continue
-            leftovers.append(tree)
+            leftovers.append(index)
         return leftovers
 
     # -- fast path ----------------------------------------------------------
 
-    def apply_rule(self, rule: Rule) -> bool:
-        """Run *rule* entirely on the arena when compilable; False means
-        the caller must use the tree path. Mirrors
-        ``_apply_rule_with_shadowing`` + ``_construct_outputs`` step for
-        step (candidate stats, spans, metrics, shadowing, grouping,
-        provenance) so outputs and bookkeeping stay identical."""
+    def apply_rule(self, rule: Rule, candidates: Sequence[int]) -> bool:
+        """Run *rule* over the candidate root indices entirely on the
+        arena when compilable; False means the caller must use the tree
+        path. Mirrors ``_apply_rule_with_shadowing`` +
+        ``_construct_outputs`` step for step (spans, metrics,
+        shadowing, grouping, provenance) so outputs and bookkeeping
+        stay identical."""
         fast = self.fast_for(rule)
         if fast is None:
             return False
-        state = self.state
-        stats = state.dispatch_stats
-        stats.indexed_calls += 1
-        stats.subjects_considered += len(self.store)
-        candidates = self._admitted_candidates(fast)
-        stats.subjects_admitted += len(candidates)
-        if not candidates:
-            return True
         rows = self._match_candidates(fast, candidates)
         if not rows:
             return True
@@ -679,24 +599,8 @@ class ArenaEngine:
             self._construct_groups(fast, rows)
         return True
 
-    def _admitted_candidates(self, fast: FastRule) -> List[int]:
-        """The signature-admitted root indices (label bucket + exact
-        arity, like ``RootSignature.admits`` on the tree path)."""
-        buckets = self.root_buckets()
-        if len(fast.root_ids) == 1:
-            indices = buckets.get(next(iter(fast.root_ids)), [])
-        else:
-            indices = []
-            for label_id in fast.root_ids:
-                indices.extend(buckets.get(label_id, ()))
-            indices.sort()
-        arity = fast.root_arity
-        roots = self.arena.roots
-        n_children = self.arena.n_children
-        return [i for i in indices if n_children[roots[i]] == arity]
-
     def _match_candidates(
-        self, fast: FastRule, candidates: List[int]
+        self, fast: FastRule, candidates: Sequence[int]
     ) -> List[Tuple[int, tuple]]:
         """Phases 1-3 over the candidate offsets: flat matching plus
         binding deduplication, with the tree path's spans and metrics

@@ -27,13 +27,19 @@ Signatures are **sound over-approximations**: when a signature rejects a
 subject, the full matcher is guaranteed to reject it too, so filtering
 candidates through the index never changes the produced bindings — only
 how fast non-matches are discarded.
+
+:class:`RootView` is where the top level applies them: one per run,
+over either forest representation (a list of trees or an
+:class:`~repro.core.arena.ArenaStore`), it hands each rule the root
+indices its signature admits — the only root-admission filter the
+interpreter has.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from ..core.arena import InternTable, label_alias_ids
+from ..core.arena import ArenaStore, InternTable, label_alias_ids
 from ..core.labels import Label
 from ..core.patterns import (
     ONE,
@@ -53,10 +59,6 @@ Subject = Union[Tree, Ref]
 #: ``None`` so a missing rule entry is detectable).
 WILDCARD = None
 
-#: Reserved key under which ``candidates()`` stores the per-subjects
-#: label-bucket index inside a caller-owned cache dict.
-_BUCKETS = ("__buckets__",)
-
 
 class DispatchStats:
     """Per-run dispatch accounting, kept as plain ints.
@@ -66,11 +68,12 @@ class DispatchStats:
     attributes here and the interpreter flushes them into the run's
     :class:`~repro.obs.MetricsRegistry` once, at the end.
 
-    ``subjects_considered``/``subjects_admitted`` count the candidate
-    filtering of *indexed* rules (a cache hit counts the subjects it
-    would have scanned, so the reduction ratio reflects pruned work,
-    not cache topology); ``admit_checks``/``admit_rejections`` count
-    the demand loop's single-subject admission tests.
+    ``indexed_calls``/``unindexed_calls`` count top-level root
+    selections (:meth:`RootView.select`) by indexed and wildcard rules;
+    ``subjects_considered``/``subjects_admitted`` count the roots an
+    indexed rule was offered and the ones its signature admitted;
+    ``admit_checks``/``admit_rejections`` count the demand loop's
+    single-subject admission tests.
     """
 
     __slots__ = (
@@ -172,12 +175,6 @@ class RootSignature:
             return False
         return True
 
-    def key(self) -> Tuple:
-        """A hashable identity, so candidate lists can be shared between
-        rules whose root patterns have equivalent signatures."""
-        return (self.labels, self.domain, self.min_children,
-                self.unbounded, self.refs_only)
-
     def __repr__(self) -> str:
         parts = []
         if self.refs_only:
@@ -230,15 +227,12 @@ def rule_root_signature(rule: Rule) -> Optional[RootSignature]:
 
 
 class RuleDispatchIndex:
-    """Per-rule root signatures with order-preserving candidate filtering.
+    """Per-rule root signatures, built once per program.
 
-    ``candidates(rule, subjects)`` returns the subjects the rule could
-    possibly match, in their original order (output naming depends on
-    first-encounter order, so indexed and unindexed evaluation stay
-    byte-identical). Rules whose signatures are equivalent can share one
-    filtered list per ``subjects`` sequence through a caller-owned
-    ``cache`` dict (the index itself is immutable and safely shared
-    between runs of one interpreter).
+    Immutable, so one index is safely shared between runs of one
+    interpreter (and between the shards of a parallel run); each run
+    applies it to its own inputs through a :class:`RootView`, and the
+    demand loop through :meth:`admits`.
     """
 
     def __init__(self, rules: Sequence[Rule]) -> None:
@@ -266,74 +260,6 @@ class RuleDispatchIndex:
             stats.admit_rejections += 1
         return admitted
 
-    def candidates(
-        self,
-        rule: Rule,
-        subjects: Sequence[Subject],
-        cache: Optional[Dict[Tuple, List[Subject]]] = None,
-        stats: Optional[DispatchStats] = None,
-    ) -> Sequence[Subject]:
-        """Filter *subjects* down to those the rule could match.
-
-        ``cache`` should be scoped to one run and one ``subjects``
-        sequence (the caller must not reuse it across different subject
-        lists): rules with equivalent signatures then share the filter
-        work. ``stats`` accounts the filtering (see
-        :class:`DispatchStats`).
-        """
-        signature = self._signatures.get(rule.name)
-        if signature is None:
-            if stats is not None:
-                stats.unindexed_calls += 1
-            return subjects
-        if cache is None:
-            result = [s for s in subjects if signature.admits(s)]
-        else:
-            key = signature.key()
-            result = cache.get(key)
-            if result is None:
-                result = self._filter(signature, subjects, cache)
-                cache[key] = result
-        if stats is not None:
-            stats.indexed_calls += 1
-            stats.subjects_considered += len(subjects)
-            stats.subjects_admitted += len(result)
-        return result
-
-    @staticmethod
-    def _filter(
-        signature: RootSignature,
-        subjects: Sequence[Subject],
-        cache: Dict,
-    ) -> List[Subject]:
-        """Order-preserving filter. Label-constrained signatures go
-        through a per-subjects-list bucket index (built once, shared by
-        every rule) so each rule's cost is proportional to *its* bucket,
-        not to the whole input."""
-        if signature.labels is None or signature.domain is not None:
-            return [s for s in subjects if signature.admits(s)]
-        index = cache.get(_BUCKETS)
-        if index is None:
-            by_label: Dict[Label, List[Tuple[int, Subject]]] = {}
-            refs: List[Tuple[int, Subject]] = []
-            for position, subject in enumerate(subjects):
-                if isinstance(subject, Ref):
-                    refs.append((position, subject))
-                else:
-                    by_label.setdefault(subject.label, []).append(
-                        (position, subject)
-                    )
-            index = (by_label, refs)
-            cache[_BUCKETS] = index
-        by_label, refs = index
-        picked: List[Tuple[int, Subject]] = []
-        for label in signature.labels:
-            picked.extend(by_label.get(label, ()))
-        picked.extend(refs)  # Ref subjects are always admitted
-        if len(signature.labels) > 1 or refs:
-            picked.sort(key=lambda pair: pair[0])  # restore input order
-        return [subject for _, subject in picked if signature.admits(subject)]
-
     def indexed_rules(self) -> List[str]:
         """Names of the rules that got a non-wildcard signature."""
         return [name for name, sig in self._signatures.items() if sig is not None]
@@ -341,3 +267,107 @@ class RuleDispatchIndex:
     def __repr__(self) -> str:
         indexed = len(self.indexed_rules())
         return f"RuleDispatchIndex({indexed}/{len(self._signatures)} rules indexed)"
+
+
+class RootView:
+    """The top-level roots of one run, as root admission sees them.
+
+    Maps root labels to root indices in input order and keeps each
+    root's child count. For a tree forest both come from
+    :attr:`Tree.root_signature`; for an :class:`ArenaStore` from the
+    ``labels``/``n_children`` columns, keyed by interned label id and
+    looked up through :meth:`RootSignature.label_ids`. The map is built
+    on the first indexed selection, so at most once per run.
+
+    :meth:`select` is the interpreter's only root-admission filter, for
+    both representations, and the only code that moves the
+    ``indexed_calls``/``unindexed_calls``/``subjects_considered``/
+    ``subjects_admitted`` counters of :class:`DispatchStats`.
+    """
+
+    def __init__(
+        self,
+        forest: Union[Sequence[Tree], ArenaStore],
+        index: Optional[RuleDispatchIndex],
+        stats: DispatchStats,
+    ) -> None:
+        self._forest = forest
+        self._index = index
+        self._stats = stats
+        self._intern: Optional[InternTable] = (
+            forest.arena.intern if isinstance(forest, ArenaStore) else None
+        )
+        self._labels: Optional[List] = None  # per root: label (id on an arena)
+        self._arities: List[int] = []
+        self._buckets: Dict[object, List[int]] = {}
+
+    def select(
+        self, rule: Rule, among: Optional[Sequence[int]] = None
+    ) -> Sequence[int]:
+        """The indices of the roots *rule* is offered, in input order:
+        those its root signature admits, out of *among* when given (the
+        leftovers fallback rules choose from) or out of every root.
+        Without an index, or for a wildcard rule, every root offered."""
+        offered = range(len(self._forest)) if among is None else among
+        if self._index is None:
+            return offered
+        signature = self._index.signature(rule)
+        stats = self._stats
+        if signature is None:
+            stats.unindexed_calls += 1
+            return offered
+        admitted = self._admitted(signature)
+        if among is not None:
+            keep = set(among)
+            admitted = [i for i in admitted if i in keep]
+        stats.indexed_calls += 1
+        stats.subjects_considered += len(offered)
+        stats.subjects_admitted += len(admitted)
+        return admitted
+
+    def _admitted(self, signature: RootSignature) -> List[int]:
+        """Every root index *signature* admits, in input order."""
+        if self._labels is None:
+            self._build()
+        if signature.refs_only:
+            return []  # store roots are trees, never references
+        labels = self._labels
+        intern = self._intern
+        if signature.labels is None:
+            picked = list(range(len(labels)))
+        else:
+            keys = signature.labels if intern is None else signature.label_ids(intern)
+            buckets = self._buckets
+            runs = [buckets[key] for key in keys if key in buckets]
+            picked = [i for run in runs for i in run]
+            if len(runs) > 1:
+                picked.sort()  # restore input order across buckets
+        domain = signature.domain
+        if domain is not None:
+            value = (lambda label: label) if intern is None else intern.value
+            picked = [i for i in picked if domain.contains(value(labels[i]))]
+        arities = self._arities
+        arity = signature.min_children
+        if not signature.unbounded:
+            return [i for i in picked if arities[i] == arity]
+        if arity:
+            return [i for i in picked if arities[i] >= arity]
+        return picked
+
+    def _build(self) -> None:
+        forest = self._forest
+        if isinstance(forest, ArenaStore):
+            arena = forest.arena
+            labels, n_children = arena.labels, arena.n_children
+            self._labels = [labels[offset] for offset in arena.roots]
+            self._arities = [n_children[offset] for offset in arena.roots]
+        else:
+            signatures = [node.root_signature for node in forest]
+            self._labels = [label for label, _ in signatures]
+            self._arities = [arity for _, arity in signatures]
+        buckets = self._buckets
+        for index, label in enumerate(self._labels):
+            bucket = buckets.get(label)
+            if bucket is None:
+                buckets[label] = bucket = []
+            bucket.append(index)

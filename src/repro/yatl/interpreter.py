@@ -19,7 +19,6 @@ converted by no rule raise, or feed empty-head fallback rules).
 from __future__ import annotations
 
 import time
-import warnings as _warnings
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.arena import ArenaStore
@@ -42,7 +41,7 @@ from .construction import (
     deref_target,
     is_deref_placeholder,
 )
-from .dispatch import DispatchStats
+from .dispatch import DispatchStats, RootView
 from .functions import FunctionRegistry, evaluate_comparison, standard_registry
 from .hierarchy import Hierarchy
 from .matching import MatchContext, match_body
@@ -178,15 +177,17 @@ class Interpreter:
     strict_refs:
         Raise on dangling ``&`` references instead of warning.
     use_dispatch_index:
-        Pre-filter each rule's candidate subjects through the
-        root-signature dispatch index (see :mod:`.dispatch`). On by
-        default; disable to measure the unindexed O(rules × inputs)
-        behaviour (the benchmark's ``--no-index`` ablation).
+        Offer each rule only the top-level roots its root signature
+        admits (see :mod:`.dispatch`), on tree and arena inputs alike.
+        On by default; disable to offer every root to every rule and
+        measure the unindexed O(rules × inputs) behaviour (the
+        benchmark's ``--no-index`` ablation).
     use_arena:
         Evaluate :class:`~repro.core.arena.ArenaStore` inputs on the
         columnar batch path (see :mod:`.arena_exec`): compilable rules
-        run as flat column comparisons, the rest fall back to the tree
-        matcher over lazily materialized candidates. Outputs are
+        run as flat column comparisons over their candidate roots, the
+        rest fall back to the tree matcher over those roots, lazily
+        materialized. Outputs are
         byte-identical either way. Disable (the benchmark's
         ``--no-arena`` ablation) to convert arena inputs to a
         :class:`~repro.core.trees.DataStore` up front and run the plain
@@ -208,15 +209,6 @@ class Interpreter:
         A shared :class:`repro.parallel.ParallelExecutor` (e.g. the
         serve plane's per-process pool); without one an ephemeral pool
         is created per run when ``workers > 1``.
-    parallel_safe_batches:
-        Deprecated — use ``workers=``/``chunk_size=``. Historically
-        this only *partitioned* the inputs into contiguous batches
-        evaluated sequentially in one process (it never ran anything
-        concurrently, despite the name). It now maps onto the sharded
-        executor with ``workers=1`` and that many chunks, which keeps
-        the old contract: results equivalent to a single pass, with
-        identifiers numbered in chunk order rather than rule-major
-        order.
     metrics:
         A :class:`~repro.obs.MetricsRegistry` to account the run(s)
         into. When omitted, each run uses the ambient registry
@@ -247,7 +239,6 @@ class Interpreter:
         target_functors: Optional[Sequence[str]] = None,
         use_dispatch_index: bool = True,
         use_arena: bool = True,
-        parallel_safe_batches: Optional[int] = None,
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         executor=None,
@@ -267,17 +258,6 @@ class Interpreter:
         self.program_name = program_name
         self.dispatch = self.hierarchy.dispatch_index() if use_dispatch_index else None
         self.use_arena = use_arena
-        if parallel_safe_batches is not None and parallel_safe_batches < 1:
-            raise ValueError("parallel_safe_batches must be >= 1")
-        if parallel_safe_batches is not None:
-            _warnings.warn(
-                "parallel_safe_batches is deprecated; use workers= and "
-                "chunk_size= (it maps onto the sharded executor of "
-                "repro.parallel with workers=1)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.parallel_safe_batches = parallel_safe_batches
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         if chunk_size is not None and chunk_size < 1:
@@ -325,15 +305,9 @@ class Interpreter:
     def run(self, data: Union[DataStore, Sequence[Tree], Tree]) -> ConversionResult:
         store = _as_store(data, self.use_arena)
         workers = self.workers
-        chunk_count = None
         if workers is None and self.executor is not None:
             # A shared pool is an explicit opt-in: use its worker count.
             workers = self.executor.workers
-        if workers is None and (self.parallel_safe_batches or 0) > 1:
-            # Deprecated batching maps onto the sharded executor run
-            # serially in-process: same contiguous partitions, one
-            # reconciled Skolem table.
-            workers, chunk_count = 1, self.parallel_safe_batches
         if workers is not None:
             from ..parallel import run_sharded  # cycle: parallel runs interpreters
 
@@ -342,7 +316,6 @@ class Interpreter:
                 store,
                 workers=workers,
                 chunk_size=self.chunk_size,
-                chunk_count=chunk_count,
                 executor=self.executor,
                 strict_refs=self.strict_refs,
                 metrics=self.metrics,
@@ -481,9 +454,9 @@ class _RunState:
         self.interp = interpreter
         self.input_store = store
         # Arena inputs stay columnar: roots are matched by index and
-        # decoded lazily, so `inputs` holds only what got materialized
-        # (see ArenaEngine); everything downstream sizes itself off
-        # `n_inputs` and fetches leftovers via `_leftover_inputs`.
+        # decoded lazily, so `inputs` stays empty (see ArenaEngine);
+        # everything downstream sizes itself off `n_inputs` and fetches
+        # roots by index via `_roots_at`.
         self.arena_engine: Optional[ArenaEngine] = None
         if isinstance(store, ArenaStore):
             self.arena_engine = ArenaEngine(self, store)
@@ -505,6 +478,11 @@ class _RunState:
         # Dispatch accounting: plain ints on the hot path, flushed into
         # the registry once, in finish().
         self.dispatch_stats = DispatchStats()
+        self.root_view = RootView(
+            store if self.arena_engine is not None else self.inputs,
+            interpreter.dispatch,
+            self.dispatch_stats,
+        )
         self.match_ctx = MatchContext(store=store, model=interpreter.model)
         self.constructor = Constructor(self.skolems, self._on_skolem)
         # Demand-driven evaluation bookkeeping. Insertion-ordered dicts
@@ -525,13 +503,8 @@ class _RunState:
         self.matched_values: Set[Tree] = set()
         self.root_refs: Dict[str, Ref] = {}  # heads that built a bare reference
         self.order = interpreter.hierarchy.specific_first()
-        # Hierarchy shadowing state, keyed by id(input tree); spans
-        # batches (batches never share tree objects).
+        # Hierarchy shadowing state, keyed by id(input tree).
         self._matched_by: Dict[int, Set[str]] = {}
-        # Dispatch-index candidate lists, shared between rules with
-        # equivalent signatures; one cache per batch (see
-        # RuleDispatchIndex.candidates).
-        self._candidate_caches: Dict[int, Dict] = {}
         # Provenance: output identifier -> names of the input trees it
         # was derived from. Demand-driven outputs inherit the origins of
         # the output whose construction demanded them.
@@ -572,30 +545,14 @@ class _RunState:
 
     # -- top-level application --------------------------------------------------
 
-    def apply_top_level(self, inputs: Optional[List[Tree]] = None) -> None:
-        """Apply every non-fallback rule over *inputs* (one batch; the
-        whole input set by default), with hierarchy shadowing per root
-        input tree. Fallback rules run afterwards, once, over the whole
-        run's leftovers — see :meth:`apply_fallbacks`."""
-        if inputs is None and self.arena_engine is not None:
-            self._apply_top_level_arena()
-            return
-        if inputs is None:
-            inputs = self.inputs
-        needed = self.interp.needed_functors
-        for rule in self.order:
-            if rule.is_fallback:
-                continue
-            if needed is not None and rule.head_functor not in needed:
-                continue  # targeted evaluation: this output is not queried
-            self._apply_rule_with_shadowing(rule, inputs)
-
-    def _apply_top_level_arena(self) -> None:
-        """Top-level application over an arena: compilable rules run
-        entirely on the columns (:meth:`ArenaEngine.apply_rule`); the
-        rest run the existing tree path over candidates the engine
-        prefilters — and lazily materializes — from the label/arity
-        columns."""
+    def apply_top_level(self) -> None:
+        """Apply every non-fallback rule to the roots the root view
+        offers it, with hierarchy shadowing per root input tree. A
+        compilable rule over an arena runs on the columns
+        (:meth:`ArenaEngine.apply_rule`); every other rule runs the
+        tree path over the materialized roots. Fallback rules run
+        afterwards, once, over the leftovers — see
+        :meth:`apply_fallbacks`."""
         engine = self.arena_engine
         needed = self.interp.needed_functors
         for rule in self.order:
@@ -603,25 +560,28 @@ class _RunState:
                 continue
             if needed is not None and rule.head_functor not in needed:
                 continue  # targeted evaluation: this output is not queried
-            if engine.apply_rule(rule):
+            indices = self.root_view.select(rule)
+            if not indices:
                 continue
-            self._apply_rule_with_shadowing(rule, engine.slow_candidates(rule))
+            if engine is None or not engine.apply_rule(rule, indices):
+                self._apply_rule_with_shadowing(rule, self._roots_at(indices))
 
     def apply_fallbacks(self) -> None:
         """Fallback (empty-head) rules over the inputs no other rule
         converted, recording what they match; with ``runtime_typing``,
         raise for inputs that not even a fallback rule matched."""
-        leftovers = self._leftover_inputs()
+        leftovers = self._leftover_indices()
         if not leftovers:
             return
         for rule in self.order:
             if not rule.is_fallback:
                 continue
-            candidates = self._candidates(rule, leftovers)
-            if not candidates:
+            indices = self.root_view.select(rule, leftovers)
+            if not indices:
                 continue
             bindings = self.interp.rule_bindings(
-                rule, candidates, self.match_ctx, self.warnings, self.metrics
+                rule, self._roots_at(indices), self.match_ctx, self.warnings,
+                self.metrics,
             )
             # A fallback match *handles* the input (the paper's Rule
             # Exception): account it as converted.
@@ -632,7 +592,9 @@ class _RunState:
                         self.matched_inputs.add(id(value))
                         self.matched_values.add(value)
         if self.interp.runtime_typing:
-            unhandled = [t for t in leftovers if not self._converted(t)]
+            unhandled = [
+                t for t in self._roots_at(leftovers) if not self._converted(t)
+            ]
             if unhandled:
                 raise UnconvertedDataError(
                     f"{len(unhandled)} input tree(s) matched by no rule "
@@ -643,35 +605,26 @@ class _RunState:
     def _converted(self, node: Tree) -> bool:
         return id(node) in self.matched_inputs or node in self.matched_values
 
-    def _leftover_inputs(self) -> List[Tree]:
-        """The inputs no rule converted so far, in store order."""
+    def _roots_at(self, indices: Sequence[int]) -> List[Tree]:
+        """The input trees at *indices* (arena roots decode on first use)."""
         if self.arena_engine is not None:
-            return self.arena_engine.unconverted_inputs()
-        return [t for t in self.inputs if not self._converted(t)]
+            materialize = self.arena_engine.materialize_root
+            return [materialize(i) for i in indices]
+        inputs = self.inputs
+        return [inputs[i] for i in indices]
 
-    def _candidates(self, rule: Rule, inputs: List[Tree]) -> Sequence[Tree]:
-        """The inputs *rule* could match, per the dispatch index (all of
-        them when indexing is off or the rule is unindexed)."""
-        dispatch = self.interp.dispatch
-        if dispatch is None:
-            return inputs
-        # The entry retains the inputs list so its id() stays allocated
-        # for as long as the cache references it (id reuse would
-        # otherwise alias a dead batch list to a fresh one).
-        entry = self._candidate_caches.get(id(inputs))
-        if entry is None or entry[0] is not inputs:
-            entry = (inputs, {})
-            self._candidate_caches[id(inputs)] = entry
-        return dispatch.candidates(rule, inputs, entry[1], self.dispatch_stats)
+    def _leftover_indices(self) -> List[int]:
+        """The indices of the inputs no rule converted so far, in store
+        order."""
+        if self.arena_engine is not None:
+            return self.arena_engine.unconverted_indices()
+        return [i for i, t in enumerate(self.inputs) if not self._converted(t)]
 
-    def _apply_rule_with_shadowing(self, rule: Rule, inputs: List[Tree]) -> None:
+    def _apply_rule_with_shadowing(self, rule: Rule, subjects: List[Tree]) -> None:
         roots = rule.root_body_patterns()
         single_root = roots[0].name.name if len(roots) == 1 else None
-        candidates = self._candidates(rule, inputs)
-        if not candidates:
-            return
         bindings = self.interp.rule_bindings(
-            rule, candidates, self.match_ctx, self.warnings, self.metrics
+            rule, subjects, self.match_ctx, self.warnings, self.metrics
         )
         if not bindings:
             return
@@ -929,7 +882,7 @@ class _RunState:
             if self.interp.strict_refs:
                 raise DanglingReferenceError(message)
             self.warnings.append(message)
-        unconverted = self._leftover_inputs()
+        unconverted = self._roots_at(self._leftover_indices())
         # The name-level origins live in the run's ProvenanceStore
         # (explicit/ambient when installed, a fresh result-local one
         # otherwise) so result.lineage() reads one source of truth and

@@ -131,7 +131,6 @@ class Program:
         target_functors: Optional[Sequence[str]] = None,
         use_dispatch_index: bool = True,
         use_arena: bool = True,
-        parallel_safe_batches: Optional[int] = None,
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         executor=None,
@@ -145,8 +144,9 @@ class Program:
         evaluation to the outputs a query needs (and their transitive
         Skolem dependencies) — the paper's future-work direction of
         querying the target without materializing all of it.
-        ``use_dispatch_index`` (default) pre-filters rule candidates by
-        root signature; disable it for ablation measurements.
+        ``use_dispatch_index`` (default) offers each rule only the
+        input roots its root signature admits; disable it for ablation
+        measurements.
         ``use_arena`` (default) evaluates
         :class:`~repro.core.arena.ArenaStore` inputs on the columnar
         batch path; disable it (the ``--no-arena`` ablation) to
@@ -155,8 +155,6 @@ class Program:
         forest with the multi-process executor of :mod:`repro.parallel`
         (``workers=N`` output is byte-identical to ``workers=1``; see
         :class:`Interpreter` and docs/PERFORMANCE.md).
-        ``parallel_safe_batches`` is deprecated — it maps onto the
-        sharded executor with that many chunks and ``workers=1``.
         ``provenance`` installs a :class:`~repro.obs.ProvenanceStore`
         recording per-firing lineage (defaults to the ambient store
         from :func:`repro.obs.tracing`, if one is installed).
@@ -173,7 +171,6 @@ class Program:
             target_functors=target_functors,
             use_dispatch_index=use_dispatch_index,
             use_arena=use_arena,
-            parallel_safe_batches=parallel_safe_batches,
             workers=workers,
             chunk_size=chunk_size,
             executor=executor,

@@ -1,5 +1,6 @@
 """The sampling profiler: aggregation, attribution, export, capture."""
 
+import ast
 import json
 import sys
 import threading
@@ -16,10 +17,13 @@ from repro.obs import (
     profiling,
 )
 from repro.obs.profile import (
+    _ARENA_EXEC_FUNCS,
+    _INTERPRETER_FUNCS,
     capture_stack,
     frame_label,
     phase_of_frame,
 )
+from repro.yatl import arena_exec, interpreter
 
 
 def _key(name, path="/x/src/repro/core/trees.py", line=1):
@@ -56,12 +60,13 @@ class TestPhaseAttribution:
 
 ARENA_INTERN = _key("intern", "/x/src/repro/core/arena.py", 101)
 ARENA_ENCODE = _key("encode", "/x/src/repro/core/arena.py", 269)
-ARENA_FILTER = _key("_admitted_candidates",
-                    "/x/src/repro/yatl/arena_exec.py", 548)
+ARENA_BATCH = _key("_match_candidates",
+                   "/x/src/repro/yatl/arena_exec.py", 548)
 ARENA_RUNLENGTH = _key("group_runs", "/x/src/repro/core/arena.py", 365)
 ARENA_MATCH = _key("match_block", "/x/src/repro/yatl/arena_exec.py", 90)
 ARENA_BUILD = _key("build_order", "/x/src/repro/yatl/arena_exec.py", 299)
-ARENA_ENGINE = _key("root_buckets", "/x/src/repro/yatl/arena_exec.py", 398)
+ARENA_HEAD = _key("build_leaf", "/x/src/repro/yatl/arena_exec.py", 256)
+ARENA_ENGINE = _key("materialize_root", "/x/src/repro/yatl/arena_exec.py", 398)
 
 
 class TestArenaPhase:
@@ -76,9 +81,10 @@ class TestArenaPhase:
         assert phase_of_frame(ARENA_ENGINE) == "arena"
 
     def test_batch_matching_counts_as_match_and_construct(self):
-        assert phase_of_frame(ARENA_FILTER) == "match"
+        assert phase_of_frame(ARENA_BATCH) == "match"
         assert phase_of_frame(ARENA_MATCH) == "match"
         assert phase_of_frame(ARENA_BUILD) == "construct"
+        assert phase_of_frame(ARENA_HEAD) == "construct"
 
     def test_arena_in_phase_catalog(self):
         from repro.obs.profile import PHASES
@@ -98,6 +104,35 @@ class TestArenaPhase:
         collapsed = profile.collapsed()
         assert ";repro/core/arena.py:intern 2" in collapsed
         assert "repro/yatl/arena_exec.py:match_block" in collapsed
+
+
+def _defs(module):
+    """Names of every ``def`` (nested ones included) in *module*'s file."""
+    with open(module.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+class TestCatalogDrift:
+    """The function-level phase catalogs must track the code they
+    describe: a renamed or deleted function would otherwise drop its
+    samples into the file's default phase without any error."""
+
+    @pytest.mark.parametrize("module, catalog", [
+        (interpreter, _INTERPRETER_FUNCS),
+        (arena_exec, _ARENA_EXEC_FUNCS),
+    ], ids=["interpreter", "arena_exec"])
+    def test_every_catalog_key_names_a_def(self, module, catalog):
+        assert sorted(set(catalog) - _defs(module)) == []
+
+    def test_arena_head_builders_are_construct(self):
+        builders = sorted(
+            name for name in _defs(arena_exec) if name.startswith("build_")
+        )
+        assert builders
+        phases = {name: _ARENA_EXEC_FUNCS.get(name) for name in builders}
+        assert phases == dict.fromkeys(builders, "construct")
 
 
 class TestProfile:

@@ -227,6 +227,44 @@ class TestMetricsParity:
             "yatl.rule.applications",
             "yatl.rule.bindings_matched",
             "yatl.dispatch.indexed_calls",
+            "yatl.dispatch.unindexed_calls",
+            "yatl.dispatch.subjects_considered",
             "yatl.dispatch.subjects_admitted",
+            "yatl.dispatch.candidate_reduction_ratio",
         ):
             assert arena_metrics.value(name) == tree_metrics.value(name), name
+
+    @pytest.mark.parametrize("use_dispatch_index", [True, False])
+    def test_dispatch_counters_match_tree_path(self, use_dispatch_index):
+        # Every yatl.dispatch.* counter, on compiled rules (dealer) and
+        # on tree-path, wildcard and demand-loop rules (O2Web); without
+        # the index neither representation filters or counts anything.
+        from repro.obs import MetricsRegistry, collecting
+
+        kinds = document_kind_names(4)
+        workloads = [
+            (dealer_document_program(kinds),
+             dealer_document_store(8, 40, kinds)),
+            (o2web_program(),
+             OdmgImportWrapper().to_store(car_object_store(4, 3))),
+        ]
+
+        def dispatch_counters(program, data, **options):
+            registry = MetricsRegistry()
+            with collecting(registry):
+                program.run(data, validate=False,
+                            use_dispatch_index=use_dispatch_index, **options)
+            return {
+                name: registry.value(name)
+                for name in registry.names()
+                if name.startswith("yatl.dispatch.")
+            }
+
+        for program, store in workloads:
+            tree_counters = dispatch_counters(program, store, use_arena=False)
+            arena_counters = dispatch_counters(
+                program, ArenaStore.from_data_store(store)
+            )
+            assert arena_counters == tree_counters, program.name
+            indexed = tree_counters["yatl.dispatch.indexed_calls"]
+            assert (indexed > 0) is use_dispatch_index

@@ -1,9 +1,11 @@
-"""Rule-dispatch indexing: signature extraction, indexed/unindexed
-equivalence, batching, and the fallback/demand accounting fixes."""
+"""Rule-dispatch indexing: signature extraction, root selection over
+tree and arena forests, indexed/unindexed equivalence, and the
+fallback/demand accounting fixes."""
 
 import pytest
 
 from repro.core import DataStore, Ref, atom, tree
+from repro.core.arena import ArenaStore
 from repro.core.labels import Symbol
 from repro.core.trees import Tree, sym
 from repro.errors import DanglingReferenceError, UnconvertedDataError
@@ -22,9 +24,11 @@ from repro.workloads import (
 )
 from repro.wrappers.relational import RelationalImportWrapper
 from repro.wrappers.sgml import SgmlImportWrapper
-from repro.yatl import Interpreter, MatchContext, match_body
+from repro.yatl import MatchContext, match_body
 from repro.yatl.dispatch import (
     WILDCARD,
+    DispatchStats,
+    RootView,
     RuleDispatchIndex,
     rule_root_signature,
 )
@@ -113,36 +117,72 @@ class TestRootSignatures:
         assert brochure_b1.root_signature == (Symbol("brochure"), 5)
 
 
+def forests(trees):
+    """The same roots as a tree forest and as an arena store."""
+    store = DataStore()
+    for number, node in enumerate(trees, start=1):
+        store.add(f"t{number}", node)
+    return [store.trees(), ArenaStore.from_data_store(store)]
+
+
 class TestCandidateFiltering:
+    """``RootView.select`` — the one root-admission filter — over both
+    forest representations."""
+
     def test_order_preserved(self, brochures_program, brochure_b1, brochure_b2):
         index = RuleDispatchIndex(brochures_program.rules)
         rule2 = brochures_program.rule("Rule2")
         stray = tree("pricelist", atom(1))
-        subjects = [stray, brochure_b1, Ref("x"), brochure_b2]
-        assert index.candidates(rule2, subjects) == [
-            brochure_b1, Ref("x"), brochure_b2,
-        ]
-        # the bucketed (cached) path must keep the same order
-        cache = {}
-        assert index.candidates(rule2, subjects, cache) == [
-            brochure_b1, Ref("x"), brochure_b2,
-        ]
+        short = tree("brochure", atom(1))  # right label, too few children
+        for forest in forests([stray, brochure_b1, short, brochure_b2]):
+            view = RootView(forest, index, DispatchStats())
+            assert view.select(rule2) == [1, 3]
+            assert view.select(rule2, among=[0, 3]) == [3]
+        # An enumerated label domain spans several buckets; their union
+        # must come back in input order.
+        web = o2web_program()
+        web4 = web.rule("Web4")
+        mixed = [tree("set", atom(1)), tree("list", atom(2)),
+                 tree("bag", atom(3)), tree("set", atom(4))]
+        for forest in forests(mixed):
+            view = RootView(forest, RuleDispatchIndex(web.rules), DispatchStats())
+            assert view.select(web4) == [0, 2, 3]
 
     def test_cache_shared_between_equivalent_rules(self, brochures_program):
+        # One label-bucket map per run, built on the first indexed
+        # selection and shared by every later rule.
         index = RuleDispatchIndex(brochures_program.rules)
         rule1 = brochures_program.rule("Rule1")
         rule2 = brochures_program.rule("Rule2")
-        subjects = brochure_trees(3, distinct_suppliers=2)
-        cache = {}
-        first = index.candidates(rule1, subjects, cache)
-        second = index.candidates(rule2, subjects, cache)
-        assert first is second  # Rules 1 and 2 share a root signature
+        trees = brochure_trees(3, distinct_suppliers=2)
+        for forest in forests(trees + [tree("pricelist", atom(1))]):
+            stats = DispatchStats()
+            view = RootView(forest, index, stats)
+            assert view._labels is None
+            first = view.select(rule1)
+            labels = view._labels
+            assert view.select(rule2) == first == [0, 1, 2]
+            assert view._labels is labels
+            assert (stats.indexed_calls, stats.subjects_considered,
+                    stats.subjects_admitted) == (2, 8, 6)
 
-    def test_unindexed_rule_gets_everything(self):
+    def test_unindexed_rule_gets_everything(self, brochures_program):
         rule3_program = brochures_rule3_program()
         index = RuleDispatchIndex(rule3_program.rules)
-        subjects = [tree("whatever", atom(1))]
-        assert index.candidates(rule3_program.rule("Rule3"), subjects) is subjects
+        rule3 = rule3_program.rule("Rule3")
+        rule2 = brochures_program.rule("Rule2")
+        for forest in forests([tree("whatever", atom(1)), tree("else")]):
+            stats = DispatchStats()
+            view = RootView(forest, index, stats)
+            assert list(view.select(rule3)) == [0, 1]
+            assert list(view.select(rule3, among=[1])) == [1]
+            assert stats.unindexed_calls == 2
+            assert stats.indexed_calls == stats.subjects_considered == 0
+            # Without an index (use_dispatch_index=False) every rule is
+            # offered every root, and nothing is counted.
+            off = DispatchStats()
+            assert list(RootView(forest, None, off).select(rule2)) == [0, 1]
+            assert off.unindexed_calls == off.subjects_considered == 0
 
     def test_root_failure_memo_removed(self, brochures_program, brochure_b1):
         # Regression pin for the PR10 decision: the root-failure memo
@@ -160,9 +200,28 @@ class TestCandidateFiltering:
         assert not hasattr(ctx, "known_root_failure")
         assert not hasattr(ctx, "record_root_failure")
         assert not hasattr(ctx, "root_memo_hits")
-        # The coverage memo (still load-bearing for collection edges)
-        # stays.
+        # The coverage memo stays: see the Rule 3 test below.
         assert ctx.coverage_memo_hits == 0
+
+    def test_coverage_memo_hits_on_rule3_join(self):
+        # The coverage memo serves Rule 3's join: a brochure's supplier
+        # children that conflict with the bound SN are covered by shape
+        # only, once per (pattern, child) pair. On the e2e benchmark at
+        # seed 7 it records 16,896 hits per rule3_join pass (0 on
+        # fig1_publish and dealer_ingest), and bypassing it roughly
+        # doubles that pass (0.5-0.7 s -> 1.0-1.3 s on a 2-CPU Xeon VM
+        # under CPython 3.11, same output digest).
+        database = dealer_database(suppliers=4, cars=6)
+        store = RelationalImportWrapper().to_store(database)
+        documents = brochure_elements(
+            6, distinct_suppliers=4, suppliers_per_brochure=2
+        )
+        wrapper = SgmlImportWrapper(coerce_numbers=False)
+        for number, doc in enumerate(documents, start=1):
+            store.add(f"b{number}", wrapper.element_to_tree(doc))
+        result = brochures_rule3_program().run(store)
+        assert result.ids_of("Pcar")
+        assert result.metrics.value("yatl.match.coverage_memo_hits") > 0
 
 
 # ---------------------------------------------------------------------------
@@ -227,64 +286,6 @@ class TestIndexEquivalence:
             store.add(f"b{index}", wrapper.element_to_tree(doc))
         result = assert_index_equivalent(brochures_rule3_program(), store)
         assert result.ids_of("Pcar")
-
-
-# ---------------------------------------------------------------------------
-# Batched evaluation
-# ---------------------------------------------------------------------------
-
-
-def materialized_outputs(result):
-    """Identifier-independent view of a result: every output fully
-    spliced, as rendered text, sorted."""
-    return sorted(
-        str(result.store.materialize(name)) for name in result.store.names()
-    )
-
-
-class TestBatching:
-    """``parallel_safe_batches`` is deprecated (it maps onto the
-    sharded executor of ``repro.parallel`` with ``workers=1``); every
-    use must keep working *and* warn."""
-
-    def test_single_batch_is_identical(self, brochures_program):
-        inputs = brochure_trees(6, distinct_suppliers=3)
-        plain = brochures_program.run(inputs)
-        with pytest.warns(DeprecationWarning, match="parallel_safe_batches"):
-            batched = brochures_program.run(inputs, parallel_safe_batches=1)
-        assert list(plain.store.items()) == list(batched.store.items())
-
-    @pytest.mark.parametrize("batches", [2, 3, 7])
-    def test_batches_equivalent_up_to_naming(self, brochures_program, batches):
-        inputs = brochure_trees(7, distinct_suppliers=3)
-        plain = brochures_program.run(inputs)
-        with pytest.warns(DeprecationWarning, match="parallel_safe_batches"):
-            batched = brochures_program.run(
-                inputs, parallel_safe_batches=batches
-            )
-        assert len(batched.store) == len(plain.store)
-        assert materialized_outputs(batched) == materialized_outputs(plain)
-        assert batched.unconverted == plain.unconverted
-
-    def test_batches_match_sharded_executor(self, brochures_program):
-        """The deprecated option is a pure alias for the executor's
-        legacy chunk plan — outputs byte-identical to workers=1 with
-        the same partitions."""
-        inputs = brochure_trees(7, distinct_suppliers=3)
-        with pytest.warns(DeprecationWarning, match="parallel_safe_batches"):
-            batched = brochures_program.run(inputs, parallel_safe_batches=3)
-        assert batched.parallel == {"mode": "serial", "shards": 3, "workers": 1}
-
-    def test_more_batches_than_inputs(self, brochures_program, brochure_b1):
-        with pytest.warns(DeprecationWarning, match="parallel_safe_batches"):
-            result = brochures_program.run(
-                [brochure_b1], parallel_safe_batches=5
-            )
-        assert result.ids_of("Pcar") == ["c1"]
-
-    def test_invalid_batch_count_rejected(self, brochures_program):
-        with pytest.raises(ValueError):
-            Interpreter(brochures_program.rules, parallel_safe_batches=0)
 
 
 # ---------------------------------------------------------------------------

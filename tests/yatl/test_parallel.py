@@ -21,7 +21,6 @@ from repro.parallel import (
     _execute_shard,
     _merge,
     plan_chunks,
-    plan_chunks_by_count,
     resolve_chunk_size,
     run_sharded,
     shard_result,
@@ -80,12 +79,6 @@ class TestChunkPlanning:
         assert plan_chunks(100, resolve_chunk_size(100, 25)) == [
             (0, 25), (25, 50), (50, 75), (75, 100)
         ]
-
-    def test_legacy_count_plan_matches_old_batching_arithmetic(self):
-        # divmod(7, 3) = (2, 1): remainder spread to the front.
-        assert plan_chunks_by_count(7, 3) == [(0, 3), (3, 5), (5, 7)]
-        assert plan_chunks_by_count(3, 5) == [(0, 1), (1, 2), (2, 3)]
-        assert plan_chunks_by_count(0, 4) == []
 
 
 # ---------------------------------------------------------------------------
