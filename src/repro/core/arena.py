@@ -16,12 +16,11 @@ work:
 
 Nodes are laid out in **DFS preorder**, so every subtree — and every
 named root tree — occupies one contiguous block of offsets. That makes
-three things cheap: a subtree's structural identity is a couple of
-column slices (:meth:`ArenaStore.root_key`), a shard of roots is a
-couple of array slices (:class:`ArenaShard`, pickled as flat buffers),
-and streaming *zero-copy import* is a push/pop :class:`ArenaWriter`
-(wrappers append parse events straight into the columns, no
-intermediate ``Tree`` allocation).
+two things cheap: a shard of roots is a couple of array slices
+(:class:`ArenaShard`, pickled as flat buffers), and streaming *zero-copy
+import* is a push/pop :class:`ArenaWriter` (wrappers append parse
+events straight into the columns, no intermediate ``Tree``
+allocation).
 
 Conversion is lossless and hash-stable both ways: ``Arena.from_trees``
 / ``Arena.to_trees`` round-trip to equal trees with equal
@@ -379,32 +378,6 @@ class Arena:
         )
 
 
-def group_runs(
-    keyed: Sequence[Tuple[object, int]], presorted: bool = False
-) -> List[Tuple[object, List[int]]]:
-    """Sort ``(key, offset)`` pairs and collapse them into runs.
-
-    The arena's grouping/ORDER primitive: one sort over the pairs, then
-    a single run-length pass emitting ``(key, [offsets...])`` per
-    distinct key, in key order. Offsets within a run keep their sorted
-    (stable) relative order. Pass ``presorted=True`` to skip the sort
-    when the caller already ordered the pairs.
-    """
-    if not keyed:
-        return []
-    pairs = list(keyed) if presorted else sorted(keyed, key=lambda kv: (kv[0], kv[1]))
-    runs: List[Tuple[object, List[int]]] = []
-    run_key = pairs[0][0]
-    run: List[int] = []
-    for key, offset in pairs:
-        if key != run_key:
-            runs.append((run_key, run))
-            run_key, run = key, []
-        run.append(offset)
-    runs.append((run_key, run))
-    return runs
-
-
 class ArenaStore:
     """A named, DataStore-compatible read view over an :class:`Arena`.
 
@@ -489,21 +462,6 @@ class ArenaStore:
         start = roots[index]
         end = roots[index + 1] if index + 1 < len(roots) else len(self.arena)
         return start, end
-
-    def root_key(self, index: int) -> Tuple[bytes, bytes, bytes]:
-        """Structural identity of root *index* as flat column slices.
-
-        Encoding is deterministic, so two roots have equal keys iff
-        their trees are equal — the arena's stand-in for ``Tree``
-        value equality, without materializing either tree.
-        """
-        start, end = self.root_block(index)
-        arena = self.arena
-        return (
-            arena.labels[start:end].tobytes(),
-            bytes(arena.kinds[start:end]),
-            arena.n_children[start:end].tobytes(),
-        )
 
     def tree_root(self, index: int) -> Child:
         """Materialize root *index* (cached: repeated calls return the

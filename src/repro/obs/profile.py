@@ -86,6 +86,8 @@ _INTERPRETER_FUNCS: Dict[str, str] = {
     "_evaluate_calls": "match",
     "_apply_predicates": "match",
     "_roots_at": "match",
+    "_leftover_indices": "match",
+    "_unshadowed_rows": "match",
     "_apply_rule_with_shadowing": "match",
     "_construct_outputs": "construct",
     "_on_skolem": "skolem",
@@ -98,10 +100,10 @@ _INTERPRETER_FUNCS: Dict[str, str] = {
 #: Function-level overrides for ``yatl/arena_exec.py``: the batch
 #: engine's matching and head construction count as ``match`` /
 #: ``construct`` (they do the same pipeline work as the tree path);
-#: everything else in the file — rule compilation, root
-#: materialization, dedup keys — is ``arena`` time, the columnar
-#: representation's own overhead. tests/obs/test_profile.py checks
-#: both function catalogs against the ``def``s of their files.
+#: everything else in the file — rule compilation and the compiled-rule
+#: cache — is ``arena`` time, the columnar representation's own
+#: overhead. tests/obs/test_profile.py checks both function catalogs
+#: against the ``def``s of their files.
 _ARENA_EXEC_FUNCS: Dict[str, str] = {
     "match_block": "match",
     "_match_candidates": "match",

@@ -635,12 +635,9 @@ def _merge(
             raise DanglingReferenceError(message)
         merge_warnings.append(message)
 
-    wanted = set(unconverted_names)
-    # The empty-wanted guard keeps an ArenaStore input from being fully
-    # materialized just to find zero unconverted trees.
-    unconverted = (
-        [node for name, node in input_store if name in wanted] if wanted else []
-    )
+    # Shards are contiguous and merged by index, so the names arrive in
+    # store order; looking them up decodes only those arena roots.
+    unconverted = [input_store.get(name) for name in unconverted_names]
 
     # -- observability aggregation ------------------------------------------
     for payload in payloads:
@@ -746,10 +743,7 @@ def shard_result(
         skolems.associate(identifier, node)
         output.add(identifier, node)
 
-    wanted = set(payload["unconverted"])
-    unconverted = (
-        [node for name, node in input_store if name in wanted] if wanted else []
-    )
+    unconverted = [input_store.get(name) for name in payload["unconverted"]]
 
     merge_snapshot(registry, payload["metrics"])
 

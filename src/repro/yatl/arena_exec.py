@@ -14,8 +14,9 @@ those candidates are ever decoded into trees).
 
 Everything here is replicated from the tree path *exactly* — candidate
 order, binding deduplication (Python ``==``, so ``1``/``True``/``1.0``
-conflate), hierarchy shadowing, Skolem grouping, provenance and the
-per-rule metrics — so a run over an :class:`ArenaStore` stays
+conflate), Skolem grouping, provenance and the per-rule metrics — and
+hierarchy shadowing goes through the run state's root ledger, shared
+with the tree path, so a run over an :class:`ArenaStore` stays
 byte-identical to the same run over the equivalent
 :class:`~repro.core.trees.DataStore`.
 """
@@ -41,7 +42,7 @@ from ..core.patterns import (
     collect_variables,
 )
 from ..core.trees import Tree
-from ..core.variables import AnyDomain, PatternVar, Var
+from ..core.variables import AnyDomain, AtomTypeDomain, PatternVar, UnionDomain, Var
 from ..errors import NonDeterminismError
 from ..obs import span
 from ..obs.metrics import TIME_BUCKETS
@@ -150,10 +151,21 @@ def _compile_skolem_args(parts):
 # ---------------------------------------------------------------------------
 
 
+def _types_numbers(domain) -> bool:
+    """Does *domain* test a numeric atom's type? Such a slot tells
+    ``1``, ``1.0`` and ``True`` apart although trees holding them are
+    ``==``. Every other op matches ``==`` roots alike, which lets
+    ``_match_candidates`` mark the twins its dedup folds as converted."""
+    if isinstance(domain, UnionDomain):
+        return any(_types_numbers(member) for member in domain.members)
+    return isinstance(domain, AtomTypeDomain) and domain.type_name != "string"
+
+
 def _compile_body_tree(tree, intern, slots):
     """Compile a body pattern tree to ``(ops, size)``, or None when it
     needs the general matcher (non-ONE edges, reference or pattern-name
-    leaves, pattern variables, variable labels on interior nodes)."""
+    leaves, pattern variables, variable labels on interior nodes,
+    numeric-typed variables)."""
     ops: List[tuple] = []
 
     def comp(node, rel):
@@ -161,7 +173,7 @@ def _compile_body_tree(tree, intern, slots):
             return None
         label = node.label
         if isinstance(label, Var):
-            if node.edges:
+            if node.edges or _types_numbers(label.domain):
                 return None
             slot = slots.get(label.name)
             if slot is None:
@@ -467,12 +479,10 @@ def compile_fast_rule(rule: Rule, intern) -> Optional[FastRule]:
 
 
 class ArenaEngine:
-    """Batch evaluation state for one run over an :class:`ArenaStore`.
-
-    Owns the per-root bookkeeping the tree path keys by ``id(tree)`` —
-    here keyed by root *index*, with shared set objects installed into
-    ``_RunState._matched_by`` at materialization time so the fast and
-    slow paths see one hierarchy-shadowing state.
+    """Batch evaluation for one run over an :class:`ArenaStore`: the
+    compiled-rule cache plus column matching and head construction.
+    Per-root state (shadowing, conversion, input names) lives in the run
+    state's root ledger, keyed by root index like the tree path's.
     """
 
     def __init__(self, state, store: ArenaStore) -> None:
@@ -484,15 +494,6 @@ class ArenaEngine:
         self.arena = store.arena
         self.intern = store.arena.intern
         self._fast: Dict[str, object] = {}
-        self.matched_by_index: Dict[int, Set[str]] = {}
-        self.converted_indices: Set[int] = set()
-        self.converted_keys: Set[tuple] = set()
-        self._dedup_keys: Dict[int, tuple] = {}
-        # id -> canonical id for value-equal intern entries (1 == True
-        # == 1.0); None until the first dedup_key call scans the table.
-        self._alias_remap: Optional[Dict[int, int]] = None
-
-    # -- shared lookups -----------------------------------------------------
 
     def fast_for(self, rule: Rule) -> Optional[FastRule]:
         entry = self._fast.get(rule.name, _MISSING)
@@ -501,100 +502,20 @@ class ArenaEngine:
             self._fast[rule.name] = entry
         return entry  # type: ignore[return-value]
 
-    def matched_names(self, index: int) -> Set[str]:
-        names = self.matched_by_index.get(index)
-        if names is None:
-            names = self.matched_by_index[index] = set()
-        return names
-
-    def materialize_root(self, index: int) -> Tree:
-        """Decode one root (cached) and register it with the run state
-        so the tree path sees it exactly like an eager input: name
-        lookup for provenance, shared shadowing set."""
-        store = self.store
-        tree = store.tree_root(index)
-        state = self.state
-        tid = id(tree)
-        if tid not in state._input_names:
-            state._input_names[tid] = store.name_at(index)
-            state._matched_by[tid] = self.matched_names(index)
-        return tree
-
-    def _aliases(self) -> Dict[int, int]:
-        """id -> canonical id for value-equal intern entries, built in
-        one scan at first use (identity entries omitted, so the common
-        alias-free table yields an empty dict). Input columns only hold
-        ids interned at encode time, so later table growth — rule
-        compilation interning pattern aliases, output leaves — cannot
-        introduce aliases between *root* labels after the scan."""
-        remap = self._alias_remap
-        if remap is None:
-            remap = {}
-            first_by_value: Dict[tuple, int] = {}
-            intern = self.intern
-            for ident in range(len(intern)):
-                kind, value = intern.entry(ident)
-                canonical = first_by_value.setdefault(
-                    (kind == K_REF, value), ident
-                )
-                if canonical != ident:
-                    remap[ident] = canonical
-            self._alias_remap = remap
-        return remap
-
-    def dedup_key(self, index: int) -> tuple:
-        """A structural key for the root equal iff the decoded trees are
-        ``==`` — the arena stand-in for binding deduplication collapsing
-        value-equal root subjects. Alias-free interns (no 1/1.0/True
-        twins among the labels) use the raw column slices directly;
-        otherwise labels are canonicalized through the alias remap."""
-        key = self._dedup_keys.get(index)
-        if key is None:
-            remap = self._aliases()
-            if not remap:
-                key = self.store.root_key(index)
-            else:
-                start, end = self.store.root_block(index)
-                labels = self.arena.labels
-                key = (
-                    tuple(remap.get(l, l) for l in labels[start:end]),
-                    self.arena.n_children[start:end].tobytes(),
-                )
-            self._dedup_keys[index] = key
-        return key
-
-    def unconverted_indices(self) -> List[int]:
-        """The roots no rule converted, in store order — checking the
-        cheap index/value keys before falling back to materialization
-        (fallback rules and the demand loop mark trees, not indices)."""
-        state = self.state
-        leftovers: List[int] = []
-        for index in range(len(self.store)):
-            if index in self.converted_indices:
-                continue
-            if self.dedup_key(index) in self.converted_keys:
-                continue
-            if state._converted(self.materialize_root(index)):
-                continue
-            leftovers.append(index)
-        return leftovers
-
     # -- fast path ----------------------------------------------------------
 
     def apply_rule(self, rule: Rule, candidates: Sequence[int]) -> bool:
         """Run *rule* over the candidate root indices entirely on the
         arena when compilable; False means the caller must use the tree
         path. Mirrors ``_apply_rule_with_shadowing`` +
-        ``_construct_outputs`` step for step (spans, metrics,
-        shadowing, grouping, provenance) so outputs and bookkeeping
-        stay identical."""
+        ``_construct_outputs`` step for step (spans, metrics, grouping,
+        provenance) and shadows through the same ledger function, so
+        outputs and bookkeeping stay identical."""
         fast = self.fast_for(rule)
         if fast is None:
             return False
         rows = self._match_candidates(fast, candidates)
-        if not rows:
-            return True
-        rows = self._shadow(rule, rows)
+        rows = self.state._unshadowed_rows(rule, rows)
         if rows:
             self._construct_groups(fast, rows)
         return True
@@ -619,6 +540,7 @@ class ArenaEngine:
                 roots = arena.roots
                 values_by_id = self.intern.raw_values()
                 match = fast.match_block
+                converted = state.converted
                 rows: List[Tuple[int, tuple]] = []
                 seen: Set[tuple] = set()
                 for index in candidates:
@@ -631,8 +553,14 @@ class ArenaEngine:
                     # subjects are ``==`` iff their slot tuples are —
                     # which is exactly the tree path's Binding dedup,
                     # where the subject tree itself is bound to the root
-                    # pattern name and compared by value.
+                    # pattern name and compared by value. A twin dropped
+                    # here is converted all the same: the root it
+                    # collapses into ends up converted, by this rule or
+                    # by the more specific rule that shadows it. No twin
+                    # of an admitted root fails the match either: that
+                    # takes a numeric-typed slot (`_types_numbers`).
                     if values in seen:
+                        converted.add(index)
                         continue
                     seen.add(values)
                     rows.append((index, values))
@@ -659,27 +587,6 @@ class ArenaEngine:
                 self._interp_mod.M_RULE_SECONDS, buckets=TIME_BUCKETS
             ).observe(time.perf_counter() - started, rule=rule_name)
         return rows
-
-    def _shadow(
-        self, rule: Rule, rows: List[Tuple[int, tuple]]
-    ) -> List[Tuple[int, tuple]]:
-        """Two-phase hierarchy shadowing, then mark the kept roots
-        converted (index, structural key, and shared name set)."""
-        hierarchy = self.state.interp.hierarchy
-        matched_names = self.matched_names
-        kept = [
-            row
-            for row in rows
-            if not hierarchy.shadowed(rule, matched_names(row[0]))
-        ]
-        if not kept:
-            return kept
-        rule_name = rule.name
-        for index, _ in kept:
-            matched_names(index).add(rule_name)
-            self.converted_indices.add(index)
-            self.converted_keys.add(self.dedup_key(index))
-        return kept
 
     def _construct_groups(
         self, fast: FastRule, rows: List[Tuple[int, tuple]]

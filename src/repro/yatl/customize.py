@@ -329,14 +329,14 @@ class _Specializer:
         restricts candidates to the rules defining one Skolem functor
         (used when specializing a dereference)."""
         found: List[Tuple[Rule, List[SymEnv]]] = []
-        matched_names: Set[str] = set()
+        matched_rules: Set[str] = set()
         for rule in self.order:
             if functor is not None and rule.head_functor != functor:
                 continue
             roots = rule.root_body_patterns()
             if len(roots) != 1:
                 continue  # multi-root rules cannot be specialized on one pattern
-            if self.hierarchy.shadowed(rule, matched_names):
+            if self.hierarchy.shadowed(rule, matched_rules):
                 continue
             initial = SymEnv().bind(roots[0].name.name, subject)
             if initial is None:
@@ -348,7 +348,7 @@ class _Specializer:
             envs, predicates_alive = self._check_predicates(rule, envs)
             if not envs or not predicates_alive:
                 continue
-            matched_names.add(rule.name)
+            matched_rules.add(rule.name)
             found.append((rule, envs))
         return found
 

@@ -496,26 +496,28 @@ class _RunState:
         # shared by structurally-equal subjects) so a general rule stays
         # shadowed once a more specific one has matched the subject.
         self.demand_matched: Dict[Union[Tree, Ref], Set[str]] = {}
-        self.matched_inputs: Set[int] = set()  # ids of converted input trees
-        # Converted input trees by *value*: binding deduplication can
-        # collapse structurally-equal inputs into one binding, so id()
-        # bookkeeping alone under-reports conversions.
-        self.matched_values: Set[Tree] = set()
+        # The root ledger: per-root shadowing and conversion state, keyed
+        # by root index on both representations. `index_of_root` maps a
+        # root tree to its index (None for any other value): an arena
+        # store records its roots as it decodes them.
+        self.input_names: List[str] = store.names()
+        if self.arena_engine is not None:
+            self.index_of_root = store.index_of_tree
+        else:
+            by_id = {id(node): index for index, node in enumerate(self.inputs)}
+            self.index_of_root = lambda node: by_id.get(id(node))
+        self.rules_matched: Dict[int, Set[str]] = {}  # index -> rule names
+        self.converted: Set[int] = set()
+        # Converted roots by *value* (tree path only): binding dedup
+        # collapses value-equal roots into one binding, so the twins it
+        # dropped are converted too.
+        self.converted_trees: Set[Tree] = set()
         self.root_refs: Dict[str, Ref] = {}  # heads that built a bare reference
         self.order = interpreter.hierarchy.specific_first()
-        # Hierarchy shadowing state, keyed by id(input tree).
-        self._matched_by: Dict[int, Set[str]] = {}
         # Provenance: output identifier -> names of the input trees it
         # was derived from. Demand-driven outputs inherit the origins of
         # the output whose construction demanded them.
         self.provenance: Dict[str, Set[str]] = {}
-        # For arena inputs the map is filled at materialization time
-        # (iterating the store here would decode every root eagerly).
-        self._input_names: Dict[int, str] = (
-            {}
-            if self.arena_engine is not None
-            else {id(node): name for name, node in store}
-        )
         self._active_origins: Set[str] = set()
         # Identifiers whose associated value is known reference-free
         # (the arena fast path never builds reference leaves — the
@@ -585,75 +587,77 @@ class _RunState:
             )
             # A fallback match *handles* the input (the paper's Rule
             # Exception): account it as converted.
-            for binding in bindings:
-                for bp in rule.root_body_patterns():
-                    value = binding.get(bp.name.name)
-                    if isinstance(value, Tree):
-                        self.matched_inputs.add(id(value))
-                        self.matched_values.add(value)
+            self._record_converted(rule, bindings)
         if self.interp.runtime_typing:
-            unhandled = [
-                t for t in self._roots_at(leftovers) if not self._converted(t)
-            ]
+            unhandled = self._leftover_indices()
             if unhandled:
+                first = self._roots_at(unhandled[:1])[0]
                 raise UnconvertedDataError(
                     f"{len(unhandled)} input tree(s) matched by no rule "
-                    f"(not even a fallback rule; first: "
-                    f"{str(unhandled[0])[:80]!r})"
+                    f"(not even a fallback rule; first: {str(first)[:80]!r})"
                 )
-
-    def _converted(self, node: Tree) -> bool:
-        return id(node) in self.matched_inputs or node in self.matched_values
 
     def _roots_at(self, indices: Sequence[int]) -> List[Tree]:
         """The input trees at *indices* (arena roots decode on first use)."""
         if self.arena_engine is not None:
-            materialize = self.arena_engine.materialize_root
-            return [materialize(i) for i in indices]
+            tree_root = self.input_store.tree_root
+            return [tree_root(i) for i in indices]
         inputs = self.inputs
         return [inputs[i] for i in indices]
 
     def _leftover_indices(self) -> List[int]:
         """The indices of the inputs no rule converted so far, in store
-        order."""
-        if self.arena_engine is not None:
-            return self.arena_engine.unconverted_indices()
-        return [i for i, t in enumerate(self.inputs) if not self._converted(t)]
+        order: the roots neither marked by index nor equal to a root the
+        tree path recorded by value."""
+        converted = self.converted
+        leftovers = [i for i in range(self.n_inputs) if i not in converted]
+        trees = self.converted_trees
+        if not trees or not leftovers:
+            return leftovers
+        return [
+            index
+            for index, root in zip(leftovers, self._roots_at(leftovers))
+            if root not in trees
+        ]
+
+    def _unshadowed_rows(self, rule: Rule, rows: List[tuple]) -> List[tuple]:
+        """Hierarchy shadowing on top-level roots (Section 4.2), over
+        ``(root index, ...)`` rows from either representation: drop the
+        rows whose root a more specific rule already matched, then record
+        *rule* on the kept roots and mark them converted."""
+        rules_matched = self.rules_matched
+        shadowed = self.interp.hierarchy.shadowed
+        kept = [
+            row for row in rows if not shadowed(rule, rules_matched.get(row[0], ()))
+        ]
+        for row in kept:
+            rules_matched.setdefault(row[0], set()).add(rule.name)
+            self.converted.add(row[0])
+        return kept
+
+    def _record_converted(self, rule: Rule, bindings: List[Binding]) -> None:
+        """Record the roots *bindings* matched as converted, by value."""
+        trees = self.converted_trees
+        names = [bp.name.name for bp in rule.root_body_patterns()]
+        for binding in bindings:
+            for name in names:
+                root = binding.get(name)
+                if isinstance(root, Tree):
+                    trees.add(root)
 
     def _apply_rule_with_shadowing(self, rule: Rule, subjects: List[Tree]) -> None:
-        roots = rule.root_body_patterns()
-        single_root = roots[0].name.name if len(roots) == 1 else None
         bindings = self.interp.rule_bindings(
             rule, subjects, self.match_ctx, self.warnings, self.metrics
         )
+        roots = rule.root_body_patterns()
+        if len(roots) == 1:
+            name = roots[0].name.name
+            index_of_root = self.index_of_root
+            rows = [(index_of_root(b.get(name)), b) for b in bindings]
+            bindings = [b for _, b in self._unshadowed_rows(rule, rows)]
         if not bindings:
             return
-        if single_root is not None:
-            kept: List[Binding] = []
-            for binding in bindings:
-                root_tree = binding.get(single_root)
-                key = id(root_tree)
-                names = self._matched_by.setdefault(key, set())
-                if self.interp.hierarchy.shadowed(rule, names):
-                    continue
-                kept.append(binding)
-            if not kept:
-                return
-            for binding in kept:
-                root_tree = binding.get(single_root)
-                self._matched_by.setdefault(id(root_tree), set()).add(rule.name)
-                self.matched_inputs.add(id(root_tree))
-                if isinstance(root_tree, Tree):
-                    self.matched_values.add(root_tree)
-            bindings = kept
-        else:
-            for binding in bindings:
-                for bp in roots:
-                    root_tree = binding.get(bp.name.name)
-                    if root_tree is not None:
-                        self.matched_inputs.add(id(root_tree))
-                        if isinstance(root_tree, Tree):
-                            self.matched_values.add(root_tree)
+        self._record_converted(rule, bindings)
         self._construct_outputs(rule, bindings)
 
     # -- phases 4-5 -------------------------------------------------------------
@@ -724,10 +728,9 @@ class _RunState:
         origins: Set[str] = set(self._active_origins)
         for binding in group:
             for name in root_names:
-                value = binding.get(name)
-                input_name = self._input_names.get(id(value))
-                if input_name is not None:
-                    origins.add(input_name)
+                index = self.index_of_root(binding.get(name))
+                if index is not None:
+                    origins.add(self.input_names[index])
         return origins
 
     # -- demand-driven evaluation -------------------------------------------------

@@ -16,7 +16,6 @@ from repro.core.arena import (
     K_INT,
     K_REF,
     K_SYMBOL,
-    group_runs,
     label_alias_ids,
     label_kind,
 )
@@ -158,19 +157,6 @@ class TestInternTable:
         assert label_kind(Symbol("s")) == K_SYMBOL
 
 
-class TestGroupRuns:
-    def test_sorts_and_collapses(self):
-        runs = group_runs([("b", 3), ("a", 2), ("b", 1), ("a", 0)])
-        assert runs == [("a", [0, 2]), ("b", [1, 3])]
-
-    def test_presorted_skips_sort(self):
-        runs = group_runs([("a", 5), ("a", 1), ("b", 2)], presorted=True)
-        assert runs == [("a", [5, 1]), ("b", [2])]
-
-    def test_empty(self):
-        assert group_runs([]) == []
-
-
 class TestArenaStore:
     def _store(self, rng):
         forest = random_forest(rng, 20)
@@ -192,38 +178,6 @@ class TestArenaStore:
         _, store = self._store(rng)
         assert store.get("d1") is store.get("d1")
         assert store.index_of_tree(store.get("d5")) == 4
-
-    def test_root_key_equality_implies_tree_equality(self):
-        # The key is exact structural identity: equal keys always mean
-        # equal trees. (The converse can fail only through numeric
-        # conflation — Tree(1) == Tree(True) but their kind bytes
-        # differ; the execution engine's dedup canonicalizes for that.)
-        rng = random.Random(22)
-        forest = random_forest(rng, 40)
-        store = ArenaStore()
-        for index, node in enumerate(forest):
-            store.add(f"d{index}", node)
-        for i in range(len(forest)):
-            for j in range(len(forest)):
-                if store.root_key(i) == store.root_key(j):
-                    assert forest[i] == forest[j]
-
-    def test_root_key_is_tree_equality_without_numeric_aliases(self):
-        plain = [a for a in ATOMS if not isinstance(a, (int, float))]
-        rng = random.Random(24)
-        forest = [
-            Tree(rng.choice(plain), [Tree(rng.choice(plain))
-                                     for _ in range(rng.randrange(3))])
-            for _ in range(30)
-        ]
-        store = ArenaStore()
-        for index, node in enumerate(forest):
-            store.add(f"d{index}", node)
-        for i in range(len(forest)):
-            for j in range(len(forest)):
-                assert (store.root_key(i) == store.root_key(j)) == (
-                    forest[i] == forest[j]
-                )
 
     def test_to_data_store_round_trips(self):
         rng = random.Random(23)

@@ -62,11 +62,11 @@ ARENA_INTERN = _key("intern", "/x/src/repro/core/arena.py", 101)
 ARENA_ENCODE = _key("encode", "/x/src/repro/core/arena.py", 269)
 ARENA_BATCH = _key("_match_candidates",
                    "/x/src/repro/yatl/arena_exec.py", 548)
-ARENA_RUNLENGTH = _key("group_runs", "/x/src/repro/core/arena.py", 365)
+ARENA_DECODE = _key("decode", "/x/src/repro/core/arena.py", 320)
 ARENA_MATCH = _key("match_block", "/x/src/repro/yatl/arena_exec.py", 90)
 ARENA_BUILD = _key("build_order", "/x/src/repro/yatl/arena_exec.py", 299)
 ARENA_HEAD = _key("build_leaf", "/x/src/repro/yatl/arena_exec.py", 256)
-ARENA_ENGINE = _key("materialize_root", "/x/src/repro/yatl/arena_exec.py", 398)
+ARENA_ENGINE = _key("fast_for", "/x/src/repro/yatl/arena_exec.py", 486)
 
 
 class TestArenaPhase:
@@ -77,7 +77,7 @@ class TestArenaPhase:
     def test_arena_columns_attribute_to_arena(self):
         assert phase_of_frame(ARENA_INTERN) == "arena"
         assert phase_of_frame(ARENA_ENCODE) == "arena"
-        assert phase_of_frame(ARENA_RUNLENGTH) == "arena"
+        assert phase_of_frame(ARENA_DECODE) == "arena"
         assert phase_of_frame(ARENA_ENGINE) == "arena"
 
     def test_batch_matching_counts_as_match_and_construct(self):
@@ -96,10 +96,10 @@ class TestArenaPhase:
         profile = Profile()
         profile.add_stack((MAIN, ARENA_INTERN), seconds=0.02, count=2)
         profile.add_stack((MAIN, ARENA_MATCH), seconds=0.03, count=3)
-        profile.add_stack((MAIN, ARENA_MATCH, ARENA_RUNLENGTH),
+        profile.add_stack((MAIN, ARENA_MATCH, ARENA_DECODE),
                           seconds=0.01, count=1)
         totals = profile.phase_totals()
-        assert totals["arena"]["samples"] == 3  # intern + leafmost runlength
+        assert totals["arena"]["samples"] == 3  # intern + leafmost decode
         assert totals["match"]["samples"] == 3
         collapsed = profile.collapsed()
         assert ";repro/core/arena.py:intern 2" in collapsed

@@ -368,6 +368,15 @@ class TestAdmissionControl:
         yield instance
         instance.stop()
 
+    @staticmethod
+    def wait_slot_held(server, timeout=5.0):
+        # The holder must own the only queue slot before the first probe:
+        # a probe that wins the slot would hand the holder the 429.
+        deadline = time.monotonic() + timeout
+        while server.stats()["server"]["admission"]["queue_depth"] != 1:
+            assert time.monotonic() < deadline, "the holder never took the slot"
+            time.sleep(0.005)
+
     def test_overload_returns_429_with_retry_after(self, tiny_server, payload):
         held = []
 
@@ -378,6 +387,7 @@ class TestAdmissionControl:
 
         holder = threading.Thread(target=hold)
         holder.start()
+        self.wait_slot_held(tiny_server)
         deadline = time.monotonic() + 5.0
         shed = None
         while time.monotonic() < deadline:
@@ -401,17 +411,18 @@ class TestAdmissionControl:
 
         holder = threading.Thread(target=hold)
         holder.start()
-        time.sleep(0.1)
+        self.wait_slot_held(tiny_server)
         status, _, _ = post_convert(tiny_server, payload)
         holder.join()
-        if status == 429:  # load shedding is not an error
-            assert tiny_server.registry.counter("serve.errors").total() == 0
-            assert tiny_server.registry.counter(
-                "serve.rejected", "requests shed by admission control"
-            ).total() == 1
-            stats = tiny_server.stats()
-            assert stats["server"]["admission"]["rejected_total"] == 1
-            assert stats["programs"][PROGRAM]["rejected"] == 1.0
+        assert status == 429
+        # load shedding is not an error
+        assert tiny_server.registry.counter("serve.errors").total() == 0
+        assert tiny_server.registry.counter(
+            "serve.rejected", "requests shed by admission control"
+        ).total() == 1
+        stats = tiny_server.stats()
+        assert stats["server"]["admission"]["rejected_total"] == 1
+        assert stats["programs"][PROGRAM]["rejected"] == 1.0
 
     def test_slots_free_after_drain(self, tiny_server, payload):
         status, _, _ = post_convert(tiny_server, payload)

@@ -3,7 +3,7 @@ path across every execution mode (PR 10 equivalence suite)."""
 
 import pytest
 
-from repro.core.arena import GLOBAL_INTERN, ArenaStore
+from repro.core.arena import GLOBAL_INTERN, Arena, ArenaStore
 from repro.core.trees import DataStore, Tree, atom, tree
 from repro.library.programs import (
     brochures_rule3_program,
@@ -171,6 +171,68 @@ class TestEquivalence:
         assert len(result["outputs"]) == 3
         assert len(result["unconverted"]) == 1
 
+    def test_value_equal_twin_roots(self):
+        # Binding dedup collapses value-equal roots (1 == 1.0 == True,
+        # and the two `z` roots) into the first one's binding: the twins
+        # must count as converted, and the general rule must stay
+        # shadowed on them (building Out(1) twice with different heads
+        # would raise NonDeterminismError). General runs on the columns;
+        # Specific's numeric-typed slot keeps it on the tree path.
+        program = parse_program(
+            "program Twins\n"
+            "rule Specific:\n  Out(Y) : int -> Y\n<=\n  P : c -> k -> Y:int\n"
+            "rule General:\n  Out(Y) : val -> Y\n<=\n  P : c -> k -> Y\n"
+            "rule Fb: () <= P : legacy -> X\n"
+            "end"
+        )
+        assert compile_fast_rule(program.rule("General"), GLOBAL_INTERN)
+        assert compile_fast_rule(program.rule("Specific"), GLOBAL_INTERN) is None
+
+        def twin(value):
+            return tree("c", tree("k", value))
+
+        store = named(
+            [
+                twin(atom(1)),
+                twin(atom(1.0)),
+                twin(atom(True)),
+                twin("z"),
+                twin("z"),
+                twin(atom(2)),
+                tree("legacy", atom(3)),
+                tree("stray", atom(4)),
+            ]
+        )
+        result = assert_equivalent(program, store)
+        assert result["outputs"] == [
+            ("o1", repr(tree("int", atom(1)))),
+            ("o2", repr(tree("int", atom(2)))),
+            ("o3", repr(tree("val", "z"))),
+        ]
+        assert result["unconverted"] == [repr(tree("stray", atom(4)))]
+
+    @pytest.mark.parametrize(
+        "domain, values",
+        [("int", (1, 1.0)), ("int", (True, 1)), ("float", (1.0, True))],
+    )
+    def test_typed_slot_rejects_a_twin(self, domain, values):
+        # A numeric-typed slot tells `==` values apart (`Y:int` takes 1,
+        # not 1.0 or True). The root it rejects still equals a converted
+        # root, so it counts as converted, and runtime typing passes.
+        program = parse_program(
+            "program Typed\n"
+            f"rule Specific:\n  Out(Y) : {domain} -> Y\n<=\n"
+            f"  P : c -> k -> Y:{domain}\n"
+            "end"
+        )
+        store = named([tree("c", tree("k", atom(value))) for value in values])
+        for runtime_typing in (False, True):
+            result = assert_equivalent(
+                program, store, runtime_typing=runtime_typing
+            )
+            assert len(result["outputs"]) == 1
+            assert result["unconverted"] == []
+
     def test_sequence_of_trees_input(self):
         program = dealer_document_program(document_kind_names(2))
         trees = dealer_document_store(4, 10, document_kind_names(2)).trees()
@@ -194,6 +256,18 @@ class TestSharding:
             )
         )
         assert arena_run == tree_run
+
+    def test_sharded_arena_decodes_only_unconverted_roots(self):
+        # The merge names the unconverted roots; it must not decode the
+        # rest of the parent's (zero-copy, nothing cached) arena.
+        kinds = document_kind_names(4)
+        program = dealer_document_program(kinds)
+        trees = dealer_document_store(8, 40, kinds).trees()
+        stray = tree("unmatched", atom(1))
+        store = ArenaStore(Arena.from_trees(trees + [stray]))
+        result = program.run(store, workers=1, chunk_size=12)
+        assert result.unconverted == [stray]
+        assert store.materialized_indices() == [len(trees)]
 
     def test_shard_spec_carries_use_arena(self):
         from repro.yatl.interpreter import Interpreter
