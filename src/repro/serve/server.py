@@ -247,19 +247,16 @@ class MediatorServer:
         self.shadow_sample = shadow_sample
         self._shadow_lock = threading.Lock()
         self._shadow_counter = 0
-        self._shadow_queue: "queue.Queue[Tuple[str, str, str, bool, int, Dict[str, object]]]" = (
+        self._shadow_queue: "queue.Queue[Tuple[str, str, str, bool, int, Dict[str, object], int]]" = (
             queue.Queue(maxsize=128)
         )
         self._shadow_mismatches: Deque[Dict[str, object]] = deque(maxlen=32)
+        # Saves per program: a sample carries the count at its hit, and
+        # one taken before a save_program is stale (its cached response
+        # came from the superseded program text).
+        self._program_saves: Dict[str, int] = {}
         self._shadow_stop = threading.Event()
         self._shadow_thread: Optional[threading.Thread] = None
-        if self.shadow_sample is not None:
-            self._shadow_thread = threading.Thread(
-                target=self._shadow_worker,
-                name="repro-serve-shadow",
-                daemon=True,
-            )
-            self._shadow_thread.start()
         self.event_log_path = event_log_path
         self.allow_test_delay = allow_test_delay
         self.drain_timeout_s = drain_timeout_s
@@ -273,11 +270,22 @@ class MediatorServer:
         # stop() drains by waiting on this count with a deadline.
         self._inflight_requests = 0
         self._inflight_cv = threading.Condition()
+        # When the last HTTP request ended (monotonic s); the shadow
+        # worker waits for quiet time measured from it.
+        self._last_request_end = -math.inf
         self._started_monotonic: Optional[float] = None
         self._serve_thread: Optional[threading.Thread] = None
         self._warm_thread: Optional[threading.Thread] = None
         self._httpd = _Httpd((host, port), _Handler, self)
         self.host, self.port = self._httpd.server_address[:2]
+        # Started last: the worker waits on the in-flight accounting.
+        if self.shadow_sample is not None:
+            self._shadow_thread = threading.Thread(
+                target=self._shadow_worker,
+                name="repro-serve-shadow",
+                daemon=True,
+            )
+            self._shadow_thread.start()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -333,7 +341,8 @@ class MediatorServer:
     @contextmanager
     def track_request(self):
         """Count one HTTP request as in-flight for the drain in
-        :meth:`stop` (used by the handler around request dispatch)."""
+        :meth:`stop` and the shadow worker's quiet time (used by the
+        handler around request dispatch)."""
         with self._inflight_cv:
             self._inflight_requests += 1
         try:
@@ -341,7 +350,12 @@ class MediatorServer:
         finally:
             with self._inflight_cv:
                 self._inflight_requests -= 1
-                self._inflight_cv.notify_all()
+                self._last_request_end = time.monotonic()
+                # Both waiters (the drain, the shadow worker) wait for
+                # zero; waking the worker on every response would have
+                # it contend for the interpreter lock under load.
+                if not self._inflight_requests:
+                    self._inflight_cv.notify_all()
 
     def stop(self) -> None:
         """Graceful shutdown: stop accepting, drain in-flight requests
@@ -516,6 +530,10 @@ class MediatorServer:
 
     def _on_program_changed(self, program_name: str) -> None:
         """``save_program`` invalidation fan-out (must never raise)."""
+        with self._shadow_lock:
+            self._program_saves[program_name] = (
+                self._program_saves.get(program_name, 0) + 1
+            )
         if self.cache is not None:
             self.cache.invalidate_program(program_name)
         if self.coalescer is not None:
@@ -562,14 +580,15 @@ class MediatorServer:
 
     def _maybe_shadow(
         self, program_name: str, body: str, to: str, include_output: bool,
-        status: int, payload: Dict[str, object],
+        status: int, payload: Dict[str, object], saves: int,
     ) -> None:
         """Enqueue every Nth cache hit for background re-verification.
 
         Sampling is a deterministic stride (hits 1, N+1, 2N+1, ...), so
         tests and operators can predict exactly which hits verify. The
         queue is bounded and non-blocking: under pressure the sample is
-        dropped (counted), never the request latency."""
+        dropped (counted), never the request latency. *saves* is the
+        program's save count read before the cache lookup."""
         if self.shadow_sample is None:
             return
         with self._shadow_lock:
@@ -582,31 +601,58 @@ class MediatorServer:
         ).inc(program=program_name)
         try:
             self._shadow_queue.put_nowait(
-                (program_name, body, to, include_output, status, payload)
+                (program_name, body, to, include_output, status, payload,
+                 saves)
             )
         except queue.Full:
             self.registry.counter(
-                "serve.shadow.dropped", "shadow samples dropped (queue full)"
+                "serve.shadow.dropped",
+                "shadow samples dropped (queue full or stale)",
             ).inc(program=program_name)
 
     def _shadow_worker(self) -> None:
-        """Drain the shadow queue until shutdown; one bad check must
-        never kill the worker (errors are counted, the loop survives)."""
+        """Drain the shadow queue until shutdown, in quiet time only: a
+        check starts once no HTTP request has been in flight for as long
+        as the previous check took (the first check, with no cost
+        measured yet, waits only for none in flight), so re-conversions
+        do not compete with requests for the interpreter lock. Meanwhile
+        samples wait in the queue, and a full queue drops new ones
+        (counted). One bad check must never kill the worker (errors are
+        counted, the loop survives)."""
+        check_s = 0.0
         while not self._shadow_stop.is_set():
             try:
                 item = self._shadow_queue.get(timeout=0.25)
             except queue.Empty:
                 continue
+            if not self._await_quiet(check_s):
+                return
+            began = time.monotonic()
             try:
                 self._shadow_check(*item)
             except Exception as exc:
                 self.registry.counter(
                     "serve.shadow.errors", "shadow verification internal errors"
                 ).inc(error=type(exc).__name__)
+            check_s = time.monotonic() - began
+
+    def _await_quiet(self, quiet_s: float) -> bool:
+        """Block until no HTTP request has been in flight for *quiet_s*
+        seconds; False once the server stops."""
+        with self._inflight_cv:
+            while not self._shadow_stop.is_set():
+                wait_s = 0.25  # bounds how late a stop is noticed
+                if not self._inflight_requests:
+                    idle_s = time.monotonic() - self._last_request_end
+                    if idle_s >= quiet_s:
+                        return True
+                    wait_s = min(wait_s, quiet_s - idle_s)
+                self._inflight_cv.wait(wait_s)
+        return False
 
     def _shadow_check(
         self, program_name: str, body: str, to: str, include_output: bool,
-        cached_status: int, cached_payload: Dict[str, object],
+        cached_status: int, cached_payload: Dict[str, object], saves: int,
     ) -> None:
         """Re-convert one sampled hit and byte-compare response cores.
 
@@ -615,6 +661,11 @@ class MediatorServer:
         collectors on this thread, so the verification neither counts
         toward request metrics nor re-stamps wrapper fingerprints.
 
+        A sample whose program was saved after its hit, before or
+        during the re-conversion, is stale: the cached response came
+        from the superseded text, so comparing would report a false
+        mismatch. Its verdict is dropped (counted) instead.
+
         ``serve.shadow.checked`` is bumped *last*, after the ok/mismatch
         verdict is recorded: pollers (``repro watch``, tests) treat
         ``checked`` as "verdicts available", so it must never run ahead
@@ -622,6 +673,12 @@ class MediatorServer:
         live_status, live_payload, _counts = self._execute(
             program_name, body, to, include_output, 0.0
         )
+        if self._program_saves.get(program_name, 0) != saves:
+            self.registry.counter(
+                "serve.shadow.dropped",
+                "shadow samples dropped (queue full or stale)",
+            ).inc(program=program_name)
+            return
         cached_core = response_core(cached_payload)
         live_core = response_core(live_payload)
         if live_status == cached_status and live_core == cached_core:
@@ -740,14 +797,22 @@ class MediatorServer:
 
         Returns ``(status, payload, counts, cache_hit)``. Requests with
         a test delay bypass the cache entirely (they exist to hold the
-        queue open deterministically). The cached payload core carries
-        no trace id or latency — those are stamped per request by
-        :meth:`convert` — and a hit performs no interpreter work, so
-        its span tree and provenance stay empty apart from the request
-        span itself (never replaying the original run's lineage).
+        queue open deterministically); without ``allow_test_delay`` the
+        delay is ignored, so it cannot defeat the cache either. The
+        cached payload core carries no trace id or latency — those are
+        stamped per request by :meth:`convert` — and a hit performs no
+        interpreter work, so its span tree and provenance stay empty
+        apart from the request span itself (never replaying the original
+        run's lineage).
         """
+        if not self.allow_test_delay:
+            delay_ms = 0.0
         cache_key = None
         if self.cache is not None and not delay_ms:
+            # Read before the lookup: a save between the two then marks
+            # a sampled hit stale instead of checking the old program's
+            # entry against the new program.
+            saves = self._program_saves.get(program_name, 0)
             cache_key = self.cache.key(program_name, body, to, include_output)
             hit = self.cache.get(cache_key)
             if hit is not None:
@@ -757,7 +822,7 @@ class MediatorServer:
                 # response being returned is never touched.
                 self._maybe_shadow(
                     program_name, body, to, include_output, status,
-                    dict(payload),
+                    dict(payload), saves,
                 )
                 payload["cache_hit"] = True
                 return status, payload, counts, True
@@ -788,7 +853,7 @@ class MediatorServer:
             program = self.system.load_program_cached(program_name)
         except YatError as exc:
             return 404, {"error": str(exc)}, {}
-        if delay_ms and self.allow_test_delay:
+        if delay_ms:
             # Test/bench hook: hold the request open (graceful-shutdown
             # and drain tests need a deterministically slow request).
             with span("serve.test_delay", category="serve", ms=delay_ms):
@@ -912,9 +977,17 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         for key, value in (extra_headers or {}).items():
             self.send_header(key, value)
-        self.end_headers()
+        # One write for the whole response: a body written after
+        # end_headers() is a second small segment, which Nagle's
+        # algorithm holds until the client ACKs the headers, and the
+        # client delays that ACK (~40 ms per response on a keep-alive
+        # connection).
+        if self.request_version == "HTTP/0.9":
+            self._headers_buffer = [body]  # a 0.9 response is the bare body
+        else:
+            self._headers_buffer += [b"\r\n", body]
         try:
-            self.wfile.write(body)
+            self.flush_headers()
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing to salvage
 
@@ -1110,7 +1183,11 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             delay_ms = float(query.get("delay_ms", ["0"])[0] or 0)
         except ValueError:
-            self._send_json(400, {"error": "delay_ms must be numeric"})
+            delay_ms = math.nan
+        if not 0 <= delay_ms < math.inf:
+            self._send_json(
+                400, {"error": "delay_ms must be a finite number >= 0"}
+            )
             return
         status, payload = self.mediator.convert(
             program_name,

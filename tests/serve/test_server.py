@@ -1,6 +1,7 @@
 """The mediator daemon: endpoints, tracing, concurrency, shutdown."""
 
 import http.client
+import io
 import json
 import os
 import signal
@@ -12,6 +13,7 @@ import time
 import pytest
 
 from repro.serve import MediatorServer
+from repro.serve.server import _Handler
 from repro.system import YatSystem
 from repro.workloads import brochure_sgml
 
@@ -151,6 +153,30 @@ class TestConvert:
         assert status == 400
         assert "delay_ms" in body["error"]
 
+    def test_non_finite_or_negative_delay_ms_is_a_400(self, server, payload):
+        # time.sleep rejects these; they must never reach it as a 500.
+        for value in ("nan", "inf", "-5"):
+            status, body, _ = post_convert(
+                server, payload, query=f"?delay_ms={value}"
+            )
+            assert status == 400, value
+            assert "delay_ms" in body["error"]
+        assert server.registry.counter("serve.errors").total() == 0
+
+    def test_delay_ms_without_the_hook_keeps_the_cache(self, payload):
+        instance = MediatorServer(port=0, warm=False)
+        instance.warm_now()
+        instance.start()
+        try:
+            post_convert(instance, payload, query="?delay_ms=1")
+            status, body, _ = post_convert(
+                instance, payload, query="?delay_ms=1"
+            )
+        finally:
+            instance.stop()
+        assert status == 200
+        assert body.get("cache_hit") is True
+
     def test_errors_are_counted(self, server, payload):
         post_convert(server, payload, program="Nope")
         assert server.registry.value(
@@ -271,6 +297,90 @@ class TestTraceEndpoint:
             assert status == 404
         finally:
             instance.stop()
+
+
+class CountingSocket:
+    """A connected socket as ``_Handler`` uses it: the handler reads
+    *requests* through ``makefile`` and every ``sendall`` is recorded.
+    ``after_send(n)`` runs after the n-th send, i.e. between two
+    requests of the stream."""
+
+    def __init__(self, requests: bytes, after_send=None) -> None:
+        self.requests = requests
+        self.after_send = after_send
+        self.sent = []
+
+    def settimeout(self, timeout) -> None:
+        pass
+
+    def makefile(self, mode, buffering=-1):
+        assert mode == "rb"
+        return io.BytesIO(self.requests)
+
+    def sendall(self, data) -> None:
+        self.sent.append(bytes(data))
+        if self.after_send is not None:
+            self.after_send(len(self.sent))
+
+
+def raw_request(method, path, body=b"", headers=()):
+    lines = [f"{method} {path} HTTP/1.1", "Host: test", *headers]
+    if body:
+        lines.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+class TestOneWritePerResponse:
+    def test_every_route_answers_in_one_sendall(self, payload):
+        # Headers and body sent apart make the body a second segment
+        # that Nagle's algorithm holds for the client's delayed ACK.
+        instance = MediatorServer(port=0, warm=False, max_queue_depth=1)
+        instance.warm_now()
+        other = brochure_sgml(1).encode()
+        convert = f"/convert/{PROGRAM}"
+        stream = [
+            (raw_request("POST", convert, payload.encode(),
+                         ["X-Trace-Id: one-write"]), 200),  # miss
+            (raw_request("POST", convert, payload.encode()), 200),  # hit
+            (raw_request("POST", convert, other), 429),  # slot held
+            (raw_request("POST", "/convert/Nope", other), 404),
+            (raw_request("POST", convert), 411),
+            (raw_request("POST", convert, headers=["Content-Length: -1"]),
+             413),
+            (raw_request("POST", f"{convert}?delay_ms=nan", other), 400),
+            (raw_request("GET", "/healthz"), 200),
+            (raw_request("GET", "/metrics"), 200),
+            (raw_request("GET", "/stats"), 200),
+            (raw_request("GET", "/trace/one-write"), 200),
+        ]
+
+        def hold_the_slot_for_the_third(sent):
+            if sent == 2:
+                assert instance._try_admit()
+            elif sent == 3:
+                instance._release_queue_slot()
+
+        sock = CountingSocket(
+            b"".join(raw for raw, _ in stream) + b"GET /healthz\r\n",
+            hold_the_slot_for_the_third,
+        )
+        try:
+            _Handler(sock, ("127.0.0.1", 0), instance._httpd)
+        finally:
+            instance._httpd.server_close()
+        *responses, http09 = sock.sent
+        assert http09 == b"ok\n"  # an HTTP/0.9 response is the bare body
+        assert len(responses) == len(stream)
+        for data, (_, expected) in zip(responses, stream):
+            head, _, body = data.partition(b"\r\n\r\n")
+            status_line, *header_lines = head.decode("latin-1").split("\r\n")
+            headers = dict(line.split(": ", 1) for line in header_lines)
+            assert int(status_line.split()[1]) == expected, status_line
+            assert int(headers["Content-Length"]) == len(body)
+            if expected == 429:
+                assert int(headers["Retry-After"]) >= 1
+        assert json.loads(sock.sent[1].partition(b"\r\n\r\n")[2])[
+            "cache_hit"] is True
 
 
 class TestUnknownEndpoint:

@@ -2,6 +2,7 @@
 byte-compared against the cached response core."""
 
 import io
+import threading
 import time
 import urllib.error
 
@@ -17,7 +18,7 @@ from repro.serve import (
 from repro.serve.cache import canonical_key
 from repro.workloads import brochure_sgml
 
-from .test_server import PROGRAM, get_json
+from .test_server import PROGRAM, get_json, post_convert
 
 PAYLOAD = brochure_sgml(2, distinct_suppliers=2)
 
@@ -134,11 +135,66 @@ class TestShadowVerification:
         assert entry["shadow_mismatches"] == 0
         assert stats["server"]["quality"]["shadow"]["enabled"] is True
 
+    def test_sample_taken_before_a_save_is_dropped(self, shadow_server):
+        # A request in flight parks the worker, so the sample is still
+        # queued when an edited program (one rule fewer) is saved. Its
+        # cached response came from the old text: checking it against
+        # the new one would be a false mismatch.
+        with shadow_server.track_request():
+            shadow_server.convert(PROGRAM, PAYLOAD)
+            shadow_server.convert(PROGRAM, PAYLOAD)  # sampled hit
+            edited = shadow_server.system.library.load_program(PROGRAM)
+            edited.remove_rule("Rule1")
+            shadow_server.system.save_program(edited)
+        shadow = wait_shadow(shadow_server, lambda s: s["dropped"] >= 1)
+        assert shadow["sampled"] == 1
+        assert shadow["checked"] == 0 and shadow["mismatches"] == 0
+        # Hits computed by the saved program verify as usual.
+        shadow_server.convert(PROGRAM, PAYLOAD)
+        shadow_server.convert(PROGRAM, PAYLOAD)
+        shadow = wait_shadow(shadow_server, lambda s: s["checked"] >= 1)
+        assert shadow["ok"] == 1 and shadow["mismatches"] == 0
+
     def test_drift_block_present(self, shadow_server):
         shadow_server.convert(PROGRAM, PAYLOAD)
         quality = shadow_server.quality_payload()
         assert "sgml" in quality["drift"]
         assert quality["drift"]["sgml"]["drift"] == 0.0
+
+
+class TestQuietTime:
+    def test_no_check_starts_while_a_request_is_in_flight(self):
+        instance = MediatorServer(
+            port=0, warm=False, shadow_sample=1, allow_test_delay=True
+        )
+        instance.warm_now()
+        instance.start()
+        try:
+            instance.convert(PROGRAM, PAYLOAD)
+            holder = threading.Thread(
+                target=post_convert, args=(instance, PAYLOAD),
+                kwargs={"query": "?delay_ms=400"},
+            )
+            holder.start()
+            deadline = time.monotonic() + 5
+            while instance.registry.value("serve.inflight") < 1:
+                assert time.monotonic() < deadline, "request never in flight"
+                time.sleep(0.005)
+            instance.convert(PROGRAM, PAYLOAD)  # sampled hit, in process
+            held_readings = []
+            while True:
+                checked = instance.quality_payload()["shadow"]["checked"]
+                if instance.registry.value("serve.inflight") < 1:
+                    break  # the held request has returned
+                held_readings.append(checked)
+                time.sleep(0.02)
+            holder.join(timeout=10)
+            assert not holder.is_alive()
+            assert held_readings and set(held_readings) == {0}
+            shadow = wait_shadow(instance, lambda s: s["checked"] >= 1)
+            assert shadow["checked"] == 1 and shadow["ok"] == 1
+        finally:
+            instance.stop()
 
 
 class TestQualityEndpoint:
