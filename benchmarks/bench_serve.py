@@ -15,10 +15,7 @@ ephemeral ports and drives ``POST /convert/<program>`` four ways:
     The same closed loop twice over a repeated payload — result cache
     off, then on — and reports the speedup. Gate: the warm cache must
     deliver at least ``--min-cache-speedup`` (default 2.0) the req/s of
-    the cold path. Also replays distinct payloads through a coalescing
-    server and a plain server and byte-compares the response cores
-    (everything except trace id and latency): coalesced == solo is a
-    hard identity gate.
+    the cold path.
 
 ``--mode open``
     Requests arrive on a fixed clock (``--arrival-rps``, auto-tuned to
@@ -83,22 +80,11 @@ from repro.workloads import brochure_sgml  # noqa: E402
 PROGRAM = "SgmlBrochuresToOdmg"
 
 
-def response_core(payload: dict) -> str:
-    """A response payload minus the per-request stamps, canonicalized
-    for byte comparison."""
-    return json.dumps(
-        {key: value for key, value in payload.items()
-         if key not in ("trace_id", "latency_ms", "cache_hit")},
-        sort_keys=True,
-    )
-
-
-def post_once(host, port, payload, include_output=False):
+def post_once(host, port, payload):
     connection = http.client.HTTPConnection(host, port, timeout=30)
     try:
-        query = "?include=output" if include_output else ""
         connection.request(
-            "POST", f"/convert/{PROGRAM}{query}", body=payload,
+            "POST", f"/convert/{PROGRAM}", body=payload,
             headers={"Content-Type": "application/sgml"},
         )
         response = connection.getresponse()
@@ -193,8 +179,7 @@ def latency_report(latencies):
 def run_closed(args, payload):
     """The PR-4 closed-loop run with the zero-dropped-samples gate."""
     total = args.clients * args.requests
-    server = MediatorServer(port=0, warm=False, cache_size=args.cache_size,
-                            coalesce_window_ms=args.coalesce_window_ms)
+    server = MediatorServer(port=0, warm=False, cache_size=args.cache_size)
     server.warm_now()
     with server:
         print(
@@ -221,7 +206,6 @@ def run_closed(args, payload):
             "payload_bytes": len(payload),
             "program": PROGRAM,
             "cache_size": args.cache_size,
-            "coalesce_window_ms": args.coalesce_window_ms,
         },
         "wall_s": round(wall_s, 3),
         "throughput_rps": round(throughput, 1),
@@ -267,8 +251,7 @@ def run_closed(args, payload):
 
 
 def run_ablation(args, payload):
-    """Cache off vs on over a repeated payload, plus the coalescing
-    byte-identity gate."""
+    """Cache off vs on over a repeated payload."""
     failures = []
     runs = {}
     # The cache saves the conversion, not the HTTP shell (~5 ms/req of
@@ -314,64 +297,9 @@ def run_ablation(args, payload):
             f"{args.min_cache_speedup:.1f}x gate"
         )
 
-    # -- coalescing byte-identity gate ---------------------------------
-    bodies = [
-        brochure_sgml(args.brochures, distinct_suppliers=2 + index).encode()
-        for index in range(4)
-    ]
-    plain = MediatorServer(port=0, warm=False, cache_size=0)
-    plain.warm_now()
-    with plain:
-        baselines = [
-            response_core(post_once(plain.host, plain.port, body,
-                                    include_output=True)[2])
-            for body in bodies
-        ]
-    coalesced = MediatorServer(port=0, warm=False, cache_size=0,
-                               coalesce_window_ms=10.0)
-    coalesced.warm_now()
-    checked, mismatches = 0, 0
-    with coalesced:
-        results = {}
-        lock = threading.Lock()
-
-        def fire(index, body):
-            outcome = post_once(coalesced.host, coalesced.port, body,
-                                include_output=True)
-            with lock:
-                results.setdefault(index, []).append(outcome)
-
-        threads = [
-            threading.Thread(target=fire, args=(index % len(bodies),
-                                                bodies[index % len(bodies)]))
-            for index in range(len(bodies) * 3)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        batches = coalesced.registry.counter("serve.coalesce.batches").total()
-    for index, outcomes in results.items():
-        for status, _, body in outcomes:
-            checked += 1
-            if status != 200 or response_core(body) != baselines[index]:
-                mismatches += 1
-    print(f"  identity  : {checked} coalesced responses vs solo baselines, "
-          f"{mismatches} mismatch(es), {batches:g} batch(es)")
-    if mismatches:
-        failures.append(
-            f"coalesced responses diverged from solo execution "
-            f"({mismatches}/{checked})"
-        )
-
     return {
         "runs": runs,
         "cache_speedup": round(speedup, 2),
-        "identity": {
-            "checked": checked,
-            "mismatches": mismatches,
-            "coalesce_batches": batches,
-        },
     }, failures
 
 
@@ -730,8 +658,6 @@ def main(argv=None) -> int:
     parser.add_argument("--cache-size", type=int, default=0,
                         help="result-cache entries for --mode closed "
                              "(default 0: measure the conversion path)")
-    parser.add_argument("--coalesce-window-ms", type=float, default=0.0,
-                        help="coalescing window for --mode closed")
     parser.add_argument("--min-cache-speedup", type=float, default=2.0,
                         metavar="X",
                         help="ablation gate: warm cache must reach X times "

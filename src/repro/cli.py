@@ -505,7 +505,6 @@ def cmd_serve(args, library: Library) -> int:
         allow_test_delay=args.debug_delay,
         workers=args.workers,
         cache_size=args.cache_size,
-        coalesce_window_ms=args.coalesce_window_ms,
         max_queue_depth=args.max_queue_depth,
         history_interval_s=args.history_interval,
         history_capacity=args.history_capacity,
@@ -799,12 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-size", type=int, default=256, metavar="N",
                        help="conversion result cache capacity in entries "
                             "(0 disables; default 256)")
-    serve.add_argument("--coalesce-window-ms", type=float, default=0.0,
-                       metavar="MS",
-                       help="merge concurrent same-program requests that "
-                            "arrive within MS milliseconds into one batch "
-                            "run (0 disables; responses stay byte-identical "
-                            "to solo execution)")
     serve.add_argument("--max-queue-depth", type=int, default=None,
                        metavar="N",
                        help="admission control: shed conversions with 429 + "

@@ -778,7 +778,10 @@ class AlertEvaluator:
             states = {
                 name: state.to_json() for name, state in self._states.items()
             }
-            recent = list(self._transitions)[-max(0, transitions):]
+            recent = (
+                list(self._transitions)[-transitions:] if transitions > 0
+                else []
+            )
             evaluations = self._evaluations
         firing = sorted(n for n, s in states.items() if s["state"] == "firing")
         pending = sorted(n for n, s in states.items()

@@ -123,7 +123,7 @@ class MetricsHistory:
         with self._lock:
             samples = list(self._samples)
         if limit is not None:
-            samples = samples[-max(0, limit):]
+            samples = samples[-limit:] if limit > 0 else []
         if names is None:
             return [dict(sample) for sample in samples]
         wanted = set(names)

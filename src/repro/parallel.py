@@ -46,7 +46,7 @@ the pool.
 
 from __future__ import annotations
 
-import itertools
+import hashlib
 import os
 import pickle
 import threading
@@ -107,11 +107,6 @@ M_PAR_FALLBACK = "parallel.fallback.inprocess"
 
 _DANGLING_PREFIX = "dangling reference(s) in output:"
 
-#: Parent-side allocator for worker spec-cache keys (pid-qualified so
-#: keys stay unique across parents sharing a pool lineage).
-_SPEC_KEYS = itertools.count(1)
-
-
 # ---------------------------------------------------------------------------
 # Chunk planning
 # ---------------------------------------------------------------------------
@@ -147,7 +142,8 @@ def plan_chunks(n_inputs: int, chunk_size: int) -> List[Tuple[int, int]]:
 class ShardSpec:
     """Everything a worker needs to rebuild the interpreter for one
     shard: the program, not the run. Pickled once per run and shipped
-    to the pool; workers cache the unpickled spec by key so a shared
+    to the pool; workers cache the unpickled spec by a digest of those
+    bytes, which are the same for every run of one program, so a shared
     serve-plane pool pays the unpickle once per program per worker.
 
     The prebuilt hierarchy is deliberately *dropped* from the pickle
@@ -290,9 +286,10 @@ class ParallelExecutor:
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: Worker-process cache of unpickled ShardSpecs, keyed by the parent's
-#: run key: a long-lived pool (repro serve) unpickles each program once
-#: per worker, not once per shard.
+#: Worker-process cache of unpickled ShardSpecs, keyed by a digest of
+#: the pickled spec: runs of one program pickle to the same bytes, so a
+#: long-lived pool (repro serve) unpickles each program once per
+#: worker, not once per run or shard.
 _SPEC_CACHE: Dict[str, ShardSpec] = {}
 
 
@@ -521,7 +518,7 @@ def _run_shards(
         except Exception as exc:
             degraded = f"program is not picklable ({exc})"
         else:
-            key = f"{os.getpid()}-{next(_SPEC_KEYS)}"
+            key = hashlib.sha256(blob).hexdigest()
             pool = executor if executor is not None else ParallelExecutor(workers)
             try:
                 futures = [
@@ -706,62 +703,6 @@ def _merge(
     )
     result.parallel = {"mode": mode, "shards": len(payloads), "workers": workers}
     return result
-
-
-def shard_result(
-    payload: Dict[str, object],
-    input_store: DataStore,
-    registry: Optional[MetricsRegistry] = None,
-    provenance: Optional[ProvenanceStore] = None,
-    recorder: Optional[SpanRecorder] = None,
-) -> ConversionResult:
-    """Rehydrate one shard payload as a full :class:`ConversionResult`
-    — the serve plane's request-coalescing split-back.
-
-    A coalesced batch executes each member request as its own shard
-    (fresh interpreter, fresh Skolem table), so a single shard *is* a
-    complete solo run: replaying its allocation log through a fresh
-    master table is the identity rename by the PR-5 merge argument,
-    which makes the rehydrated result byte-identical — identifiers,
-    outputs, warnings, unconverted — to running that request alone.
-
-    Telemetry folds into the caller's sinks exactly like the sharded
-    merge: the payload's metrics snapshot merges into *registry* (or
-    the ambient one), per-firing provenance into *provenance*, and the
-    shard's span tree grafts into *recorder* under the current span.
-    """
-    if registry is None:
-        registry = ambient_registry()
-    if registry is None:
-        registry = MetricsRegistry()
-
-    skolems = SkolemTable()
-    for local_id, functor, args in payload["log"]:
-        skolems.id_for(functor, tuple(args))
-    output = DataStore()
-    for identifier, node in payload["outputs"]:
-        skolems.associate(identifier, node)
-        output.add(identifier, node)
-
-    unconverted = [input_store.get(name) for name in payload["unconverted"]]
-
-    merge_snapshot(registry, payload["metrics"])
-
-    result_prov = provenance if provenance is not None else ProvenanceStore()
-    shard_prov = payload["provenance"]
-    if provenance is not None and shard_prov.get("records"):
-        provenance.merge(ProvenanceStore.from_json(shard_prov))
-    else:
-        for output_id, names in shard_prov.get("origins", {}).items():
-            result_prov.add_origins(output_id, names)
-
-    if recorder is not None and payload["spans"]:
-        recorder.absorb(payload["spans"], parent_id=current_span_id())
-
-    return ConversionResult(
-        output, skolems, unconverted, list(payload["warnings"]),
-        result_prov, metrics=registry,
-    )
 
 
 def _recompute_gauges(registry: MetricsRegistry, master: SkolemTable) -> None:

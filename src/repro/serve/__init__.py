@@ -13,7 +13,6 @@ thin shells over these.
 """
 
 from .cache import ResultCache, canonical_key
-from .coalesce import Coalescer
 from .server import MAX_BODY_BYTES, MediatorServer
 from .telemetry import (
     RequestLog,
@@ -38,7 +37,6 @@ from .watch import (
 
 __all__ = [
     "MAX_BODY_BYTES",
-    "Coalescer",
     "MediatorServer",
     "ResultCache",
     "canonical_key",

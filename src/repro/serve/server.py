@@ -47,11 +47,7 @@ and the interpreter:
    canonical input hash, rendering options)``, invalidated through
    :meth:`~repro.system.YatSystem.save_program`'s listener hook so a
    warm server never serves a stale view;
-2. **request coalescing** (:class:`~repro.serve.coalesce.Coalescer`):
-   concurrent same-program requests inside a short window merge into
-   one batch run and split back out per request, byte-identical to
-   solo execution;
-3. **admission control**: above ``max_queue_depth`` concurrently
+2. **admission control**: above ``max_queue_depth`` concurrently
    executing conversions, new work is rejected with ``429`` +
    ``Retry-After`` (``serve.rejected``) instead of queueing until the
    thread pool collapses — overload degrades predictably.
@@ -86,7 +82,6 @@ from ..obs import (
     ProvenanceStore,
     SamplingProfiler,
     SpanRecorder,
-    ambient_recorder,
     collecting,
     drift_snapshot,
     metrics_to_prometheus,
@@ -101,7 +96,6 @@ from ..system import YatSystem
 from ..wrappers.html import HtmlExportWrapper
 from ..wrappers.sgml import SgmlImportWrapper
 from .cache import ResultCache
-from .coalesce import Coalescer
 from .telemetry import RequestLog, TraceStore, clean_trace_id, trace_payload
 
 #: Largest accepted /convert payload (64 MiB) — a backstop against a
@@ -154,8 +148,6 @@ class MediatorServer:
         drain_timeout_s: float = 10.0,
         workers: Optional[int] = None,
         cache_size: int = 256,
-        coalesce_window_ms: float = 0.0,
-        coalesce_max_batch: int = 64,
         max_queue_depth: Optional[int] = None,
         history_interval_s: float = 5.0,
         history_capacity: int = 360,
@@ -187,19 +179,6 @@ class MediatorServer:
         self.cache = (
             ResultCache(cache_size, self.registry) if cache_size > 0 else None
         )
-        # Request coalescing: off by default (coalesce_window_ms=0); a
-        # few milliseconds is enough to merge a concurrency spike.
-        if coalesce_window_ms < 0:
-            raise ValueError("coalesce_window_ms must be >= 0")
-        self.coalescer = (
-            Coalescer(
-                self.registry,
-                window_s=coalesce_window_ms / 1000.0,
-                max_batch=coalesce_max_batch,
-            )
-            if coalesce_window_ms > 0
-            else None
-        )
         # Admission control: None = unlimited (the pre-PR-6 behavior).
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
@@ -207,8 +186,7 @@ class MediatorServer:
         self._queue_depth = 0
         self._queue_lock = threading.Lock()
         # One program save must invalidate every derived layer: the
-        # parsed-program cache (inside YatSystem), the result cache,
-        # and the coalescer's shard specs.
+        # parsed-program cache (inside YatSystem) and the result cache.
         self.system.add_invalidation_listener(self._on_program_changed)
         self.request_log = RequestLog(
             request_log_path,
@@ -486,10 +464,6 @@ class MediatorServer:
                     self.cache.stats() if self.cache is not None
                     else {"capacity": 0}
                 ),
-                "coalesce": (
-                    self.coalescer.stats() if self.coalescer is not None
-                    else {"window_ms": 0.0}
-                ),
                 "admission": {
                     "max_queue_depth": self.max_queue_depth,
                     "queue_depth": queue_depth,
@@ -536,8 +510,6 @@ class MediatorServer:
             )
         if self.cache is not None:
             self.cache.invalidate_program(program_name)
-        if self.coalescer is not None:
-            self.coalescer.invalidate(program_name)
 
     def _try_admit(self) -> bool:
         """Claim one conversion-queue slot; False means shed the load."""
@@ -861,20 +833,9 @@ class MediatorServer:
         with span("serve.parse", category="serve"):
             documents = parse_sgml_many(body)
             store = SgmlImportWrapper().to_store(documents)
-        if self.coalescer is not None and not delay_ms:
-            # Micro-batching: merge with concurrent same-program
-            # requests; one leader runs the batch, this thread gets its
-            # own shard's result back (byte-identical to a solo run —
-            # see repro.serve.coalesce).
-            recorder = ambient_recorder()
-            result = self.coalescer.convert(
-                program_name, program, store,
-                trace_id=recorder.trace_id if recorder is not None else None,
-            )
-        else:
-            result = self.system.run(
-                program, store, workers=self.workers, executor=self.executor
-            )
+        result = self.system.run(
+            program, store, workers=self.workers, executor=self.executor
+        )
         counts = {
             "input_trees": len(store),
             "output_trees": len(result.store),
@@ -970,10 +931,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        if self.mediator.draining:
+        if self.close_connection or self.mediator.draining:
+            # Say so when the connection ends after this response.
             # Persistent connections must not outlive the drain (they
-            # would park handler threads and keep feeding requests).
-            self.close_connection = True
+            # would park handler threads and keep feeding requests);
+            # send_header sets close_connection.
             self.send_header("Connection", "close")
         for key, value in (extra_headers or {}).items():
             self.send_header(key, value)
@@ -996,6 +958,13 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
         self._send(status, body, "application/json; charset=utf-8",
                    extra_headers)
+
+    def _refuse_unread(self, status: int, error: str) -> None:
+        """Answer a POST without reading its body, and end the
+        connection: the unread bytes would otherwise parse as the next
+        request on it."""
+        self.close_connection = True
+        self._send_json(status, {"error": error})
 
     def _send_text(self, status: int, text: str,
                    content_type: str = "text/plain; charset=utf-8") -> None:
@@ -1052,8 +1021,10 @@ class _Handler(BaseHTTPRequestHandler):
                     if "transitions" in query else 50
                 )
             except ValueError:
+                transitions = -1
+            if transitions < 0:
                 self._send_json(
-                    400, {"error": "transitions must be an integer"}
+                    400, {"error": "transitions must be an integer >= 0"}
                 )
                 return
             self._send_json(200, mediator.alerts.snapshot(transitions))
@@ -1065,7 +1036,11 @@ class _Handler(BaseHTTPRequestHandler):
                     int(query["limit"][0]) if "limit" in query else None
                 )
             except ValueError:
-                self._send_json(400, {"error": "limit must be an integer"})
+                limit = -1
+            if limit is not None and limit < 0:
+                self._send_json(
+                    400, {"error": "limit must be an integer >= 0"}
+                )
                 return
             names = None
             if "names" in query:
@@ -1154,19 +1129,17 @@ class _Handler(BaseHTTPRequestHandler):
         path = parsed.path.rstrip("/")
         if not path.startswith("/convert/"):
             self._hit("unknown")
-            self._send_json(404, {"error": f"no such endpoint {path!r}"})
+            self._refuse_unread(404, f"no such endpoint {path!r}")
             return
         self._hit("convert")
         program_name = unquote(path[len("/convert/"):])
         try:
             length = int(self.headers.get("Content-Length", ""))
         except ValueError:
-            self._send_json(411, {"error": "Content-Length required"})
+            self._refuse_unread(411, "Content-Length required")
             return
         if length < 0 or length > MAX_BODY_BYTES:
-            self._send_json(413, {
-                "error": f"payload over {MAX_BODY_BYTES} bytes"
-            })
+            self._refuse_unread(413, f"payload over {MAX_BODY_BYTES} bytes")
             return
         try:
             body = self.rfile.read(length).decode("utf-8")

@@ -121,7 +121,7 @@ class RequestLog:
         with self._lock:
             entries = list(self._tail)
         if limit is not None:
-            entries = entries[-limit:]
+            entries = entries[-limit:] if limit > 0 else []
         return [dict(entry) for entry in entries]
 
     def flush(self) -> None:

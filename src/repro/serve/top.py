@@ -192,17 +192,14 @@ def _config_line(server: Dict[str, object]) -> str:
     one header line: what this daemon was *started with*."""
     pool = server.get("pool", {})
     cache = server.get("cache", {})
-    coalesce = server.get("coalesce", {})
     admission = server.get("admission", {})
     history = server.get("history", {})
     workers = int(float(pool.get("workers", 0) or 0))
     cache_cap = int(float(cache.get("capacity", 0) or 0))
-    window_ms = float(coalesce.get("window_ms", 0) or 0)
     max_depth = admission.get("max_queue_depth")
     parts = [
         f"workers {workers if workers else 'off'}",
         f"cache {cache_cap if cache_cap else 'off'}",
-        f"coalesce {f'{window_ms:g}ms' if window_ms else 'off'}",
         f"queue {int(float(max_depth)) if max_depth else 'off'}",
     ]
     interval = history.get("interval_s")
@@ -261,12 +258,6 @@ def render(
             f"queue {int(float(admission.get('queue_depth', 0)))}/"
             f"{int(float(admission.get('max_queue_depth', 0)))} "
             f"rejected {int(float(admission.get('rejected_total', 0)))}"
-        )
-    coalesce = server.get("coalesce", {})
-    if coalesce.get("window_ms"):
-        fast_path.append(
-            f"coalesce {coalesce.get('window_ms')}ms "
-            f"batches {int(float(coalesce.get('batches', 0) or 0))}"
         )
     shadow = (server.get("quality") or {}).get("shadow", {})
     if shadow.get("enabled"):

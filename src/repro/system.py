@@ -77,9 +77,9 @@ class YatSystem:
         # Invalidation fan-out: save_program already evicts the parsed
         # program from this cache, but long-running servers hold more
         # derived state keyed by program name (conversion result
-        # caches, coalescer shard specs). They subscribe here so one
-        # save invalidates every layer atomically from the caller's
-        # point of view.
+        # caches, shadow-verification save counts). They subscribe
+        # here so one save invalidates every layer atomically from the
+        # caller's point of view.
         self._invalidation_listeners: List = []
 
     def _tracing(self):
@@ -143,8 +143,8 @@ class YatSystem:
         name = self.library.save_program(program)
         # The library text changed: drop the stale parsed Program so a
         # long-running server's next load re-parses the new version,
-        # then notify subscribed caches (conversion results, coalescer
-        # specs) before any caller can observe the save.
+        # then notify subscribed caches (conversion results, shadow
+        # save counts) before any caller can observe the save.
         with self._program_cache_lock:
             self._program_cache.pop(name, None)
             listeners = list(self._invalidation_listeners)

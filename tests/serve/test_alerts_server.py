@@ -86,6 +86,14 @@ class TestAlertsEndpoint:
         status, doc = request(firing_server, "GET", "/alerts?transitions=1")
         assert status == 200 and len(doc["transitions"]) == 1
 
+    def test_transitions_zero_is_none_and_negative_is_400(
+        self, firing_server
+    ):
+        status, doc = request(firing_server, "GET", "/alerts?transitions=0")
+        assert status == 200 and doc["transitions"] == []
+        status, doc = request(firing_server, "GET", "/alerts?transitions=-1")
+        assert status == 400 and "transitions" in doc["error"]
+
     def test_bad_transitions_param_is_400(self, firing_server):
         status, doc = request(firing_server, "GET",
                               "/alerts?transitions=soon")

@@ -80,6 +80,15 @@ class TestStatsHistory:
         status, doc = get_json(server, "/stats/history?limit=nope")
         assert status == 400
 
+    def test_limit_zero_is_no_samples_and_negative_is_400(self, server):
+        server.history.sample()
+        server.history.sample()
+        status, doc = get_json(server, "/stats/history?limit=0")
+        assert status == 200 and doc["samples"] == []
+        assert doc["count"] >= 2
+        status, doc = get_json(server, "/stats/history?limit=-3")
+        assert status == 400 and "limit" in doc["error"]
+
     def test_stats_reports_history_block(self, server):
         _, doc = get_json(server, "/stats")
         block = doc["server"]["history"]

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -59,6 +60,27 @@ def post_convert(server, payload, program=PROGRAM, query="", headers=None):
         body=payload.encode(), headers=headers,
     )
     return status, json.loads(raw), response_headers
+
+
+def convert_concurrently(server, bodies, **kwargs):
+    """In-process ``server.convert`` of every body at once, one thread
+    each, released together."""
+    results = [None] * len(bodies)
+    start = threading.Barrier(len(bodies))
+
+    def run(index, body):
+        start.wait()
+        results[index] = server.convert(PROGRAM, body, **kwargs)
+
+    threads = [
+        threading.Thread(target=run, args=(index, body))
+        for index, body in enumerate(bodies)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return results
 
 
 class TestHealthProbes:
@@ -138,8 +160,6 @@ class TestConvert:
     def test_missing_content_length_411(self, server):
         # http.client always sends Content-Length for bytes bodies, so
         # speak raw HTTP to omit it.
-        import socket
-
         with socket.create_connection((server.host, server.port)) as sock:
             sock.sendall(
                 f"POST /convert/{PROGRAM} HTTP/1.1\r\n"
@@ -344,9 +364,6 @@ class TestOneWritePerResponse:
             (raw_request("POST", convert, payload.encode()), 200),  # hit
             (raw_request("POST", convert, other), 429),  # slot held
             (raw_request("POST", "/convert/Nope", other), 404),
-            (raw_request("POST", convert), 411),
-            (raw_request("POST", convert, headers=["Content-Length: -1"]),
-             413),
             (raw_request("POST", f"{convert}?delay_ms=nan", other), 400),
             (raw_request("GET", "/healthz"), 200),
             (raw_request("GET", "/metrics"), 200),
@@ -364,23 +381,78 @@ class TestOneWritePerResponse:
             b"".join(raw for raw, _ in stream) + b"GET /healthz\r\n",
             hold_the_slot_for_the_third,
         )
+        # Answered before the body is read, these end their connection,
+        # so each gets a stream of its own; the trailing GET must not run.
+        early = [
+            (CountingSocket(raw + raw_request("GET", "/healthz")), expected)
+            for raw, expected in (
+                (raw_request("POST", convert), 411),
+                (raw_request("POST", convert,
+                             headers=["Content-Length: -1"]), 413),
+            )
+        ]
         try:
-            _Handler(sock, ("127.0.0.1", 0), instance._httpd)
+            for connection in [sock] + [early_sock for early_sock, _ in early]:
+                _Handler(connection, ("127.0.0.1", 0), instance._httpd)
         finally:
             instance._httpd.server_close()
-        *responses, http09 = sock.sent
-        assert http09 == b"ok\n"  # an HTTP/0.9 response is the bare body
-        assert len(responses) == len(stream)
-        for data, (_, expected) in zip(responses, stream):
+
+        def check(data, expected):
             head, _, body = data.partition(b"\r\n\r\n")
             status_line, *header_lines = head.decode("latin-1").split("\r\n")
             headers = dict(line.split(": ", 1) for line in header_lines)
             assert int(status_line.split()[1]) == expected, status_line
             assert int(headers["Content-Length"]) == len(body)
+            return headers
+
+        *responses, http09 = sock.sent
+        assert http09 == b"ok\n"  # an HTTP/0.9 response is the bare body
+        assert len(responses) == len(stream)
+        for data, (_, expected) in zip(responses, stream):
+            headers = check(data, expected)
             if expected == 429:
                 assert int(headers["Retry-After"]) >= 1
         assert json.loads(sock.sent[1].partition(b"\r\n\r\n")[2])[
             "cache_hit"] is True
+        for early_sock, expected in early:
+            (data,) = early_sock.sent
+            assert check(data, expected)["Connection"] == "close"
+
+
+class TestEarlyAnswerClosesConnection:
+    """A POST answered before its body is read must end the
+    connection: the unread body would otherwise run as the next
+    request on it."""
+
+    SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+
+    @pytest.mark.parametrize("head, expected", [
+        (f"POST /nope HTTP/1.1\r\nHost: test\r\n"
+         f"Content-Length: {len(SMUGGLED)}\r\n\r\n", 404),
+        (f"POST /convert/{PROGRAM} HTTP/1.1\r\nHost: test\r\n\r\n", 411),
+        (f"POST /convert/{PROGRAM} HTTP/1.1\r\nHost: test\r\n"
+         f"Content-Length: 99999999999\r\n\r\n", 413),
+    ], ids=["404", "411", "413"])
+    def test_unread_body_never_runs_as_a_request(
+        self, server, head, expected
+    ):
+        with socket.create_connection(
+            (server.host, server.port), timeout=30
+        ) as sock:
+            sock.sendall(head.encode() + self.SMUGGLED)
+            received = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+        # Exactly one response, then EOF.
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        status_line, _, rest = received.partition(b"\r\n")
+        assert int(status_line.split()[1]) == expected
+        assert b"Connection: close\r\n" in rest
+        assert server.registry.value("serve.http.requests",
+                                     route="healthz") == 0
 
 
 class TestUnknownEndpoint:
@@ -464,6 +536,60 @@ class TestConcurrency:
                 record["trace_id"] == trace_id
                 for record in trace["provenance"]["records"]
             )
+
+    def test_malformed_body_fails_only_its_own_request(self, payload):
+        instance = MediatorServer(port=0, warm=False, cache_size=0)
+        instance.warm_now()
+        results = convert_concurrently(instance, [payload, "<broken"])
+        assert [status for status, _ in results] == [200, 400]
+        assert results[0][1]["output_trees"] > 0
+
+    def test_concurrent_requests_do_not_share_skolem_identifiers(self):
+        # Two clients converting the same supplier each get their own
+        # identifier space, numbered exactly as if the request ran alone.
+        body = brochure_sgml(2, distinct_suppliers=1)
+        instance = MediatorServer(port=0, warm=False, cache_size=0)
+        instance.warm_now()
+        results = convert_concurrently(instance, [body] * 3,
+                                       include_output=True)
+        assert [status for status, _ in results] == [200, 200, 200]
+        status, alone = instance.convert(PROGRAM, body, include_output=True)
+        assert status == 200 and alone["output"]
+        assert all(result["output"] == alone["output"]
+                   for _, result in results)
+
+    def test_each_request_gets_its_own_trace(self, payload):
+        instance = MediatorServer(port=0, warm=False, cache_size=0)
+        instance.warm_now()
+        results = convert_concurrently(instance, [payload] * 4)
+        assert [status for status, _ in results] == [200] * 4
+        trace_ids = [body["trace_id"] for _, body in results]
+        assert len(set(trace_ids)) == 4
+        threads = set()
+        for trace_id in trace_ids:
+            trace = instance.traces.get(trace_id)
+            spans = trace["spans"]
+            requests = [span for span in spans
+                        if span["name"] == "serve.request"]
+            assert len(requests) == 1
+            assert requests[0]["args"]["trace_id"] == trace_id
+            assert any(span["name"] == "yatl.run" for span in spans)
+            # Every span ran on this request's own thread: none leaked
+            # in from a concurrent request.
+            (thread_id,) = {span["thread_id"] for span in spans}
+            threads.add(thread_id)
+            assert trace["provenance"]["records"]
+            assert all(record["trace_id"] == trace_id
+                       for record in trace["provenance"]["records"])
+        assert len(threads) == 4
+
+
+class TestServerFlags:
+    def test_server_validates_flags(self):
+        with pytest.raises(ValueError):
+            MediatorServer(port=0, warm=False, cache_size=-1)
+        with pytest.raises(ValueError):
+            MediatorServer(port=0, warm=False, max_queue_depth=0)
 
 
 class TestAdmissionControl:

@@ -45,6 +45,7 @@ class TestRequestLog:
         assert len(log) == 10
         assert [entry["index"] for entry in log.tail()] == [7, 8, 9]
         assert [entry["index"] for entry in log.tail(limit=2)] == [8, 9]
+        assert log.tail(limit=0) == []
 
     def test_streams_jsonl_to_file(self, tmp_path):
         path = tmp_path / "requests.jsonl"

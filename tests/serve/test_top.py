@@ -105,7 +105,6 @@ class TestRender:
                 "cache": {"capacity": 256, "size": 4, "hit_rate": 0.5},
                 "admission": {"max_queue_depth": 8, "queue_depth": 1,
                               "rejected_total": 2},
-                "coalesce": {"window_ms": 2.0, "batches": 3},
             },
             "programs": {"P": {"requests": 10, "errors": 0, "rejected": 2,
                                "cache_hits": 5,
@@ -116,7 +115,6 @@ class TestRender:
         frame = render(stats, "http://x:1")
         assert "cache 4/256 (hit 50%)" in frame
         assert "queue 1/8 rejected 2" in frame
-        assert "coalesce 2.0ms batches 3" in frame
         assert "REJ" in frame and "HIT%" in frame
         line = next(l for l in frame.splitlines() if l.startswith("P "))
         columns = line.split()
@@ -127,15 +125,13 @@ class TestRender:
     def test_no_fast_path_line_when_disabled(self):
         stats = {
             "server": {"requests_total": 0, "cache": {"capacity": 0},
-                       "admission": {"max_queue_depth": None},
-                       "coalesce": {"window_ms": 0.0}},
+                       "admission": {"max_queue_depth": None}},
             "programs": {}, "requests": [],
         }
         frame = render(stats, "http://x:1")
         # No *runtime* fast-path line; the config header still names
         # the knobs, all off.
-        assert "config: workers off   cache off   coalesce off   " \
-               "queue off" in frame
+        assert "config: workers off   cache off   queue off" in frame
         assert "cache 0/" not in frame and "queue 0/" not in frame
 
     def test_config_line_shows_enabled_knobs(self):
@@ -144,15 +140,14 @@ class TestRender:
                 "requests_total": 0,
                 "pool": {"workers": 4},
                 "cache": {"capacity": 128},
-                "coalesce": {"window_ms": 2.5},
                 "admission": {"max_queue_depth": 16},
                 "history": {"interval_s": 5.0},
             },
             "programs": {}, "requests": [],
         }
         frame = render(stats, "http://x:1")
-        assert ("config: workers 4   cache 128   coalesce 2.5ms   "
-                "queue 16   history 5s") in frame
+        assert ("config: workers 4   cache 128   queue 16   "
+                "history 5s") in frame
 
 
 def _history(samples):

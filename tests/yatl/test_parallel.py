@@ -2,12 +2,14 @@
 shard-merge reconciliation, the workers=N == workers=1 determinism
 contract, pickling robustness, and pool lifecycle."""
 
+import os
 import pickle
 import random
 import warnings
 
 import pytest
 
+from repro import parallel
 from repro.core import DataStore, Ref, Tree, tree
 from repro.errors import NonDeterminismError
 from repro.obs import tracing
@@ -23,7 +25,6 @@ from repro.parallel import (
     plan_chunks,
     resolve_chunk_size,
     run_sharded,
-    shard_result,
 )
 from repro.workloads import brochure_trees
 from repro.yatl import Interpreter
@@ -397,48 +398,14 @@ class TestPickling:
         assert byte_view(degraded) == byte_view(clean)
 
 
-class TestShardResult:
-    def test_single_shard_rehydrates_byte_identically(
-        self, brochures_program
-    ):
-        """shard_result on one shard == running that forest solo: the
-        coalescer's byte-identity contract."""
-        interpreter = Interpreter(brochures_program.rules)
-        spec = interpreter.shard_spec()
-        items = [
-            (f"in{index}", node)
-            for index, node in enumerate(
-                brochure_trees(3, distinct_suppliers=2), start=1
-            )
-        ]
-        store = DataStore()
-        for name, node in items:
-            store.add(name, node)
-        payload = _execute_shard(spec, 0, items)
-        rehydrated = shard_result(payload, store)
-        solo = interpreter.run_local(store)
-        assert byte_view(rehydrated) == byte_view(solo)
-        # counts too — a served response exposes these
-        assert len(rehydrated.store) == len(solo.store)
-        assert len(rehydrated.unconverted) == len(solo.unconverted)
-
-    def test_metrics_fold_into_given_registry(self, brochures_program):
-        spec = Interpreter(brochures_program.rules).shard_spec()
-        items = [
-            (f"in{index}", node)
-            for index, node in enumerate(brochure_trees(2), start=1)
-        ]
-        store = DataStore()
-        for name, node in items:
-            store.add(name, node)
-        registry = MetricsRegistry()
-        shard_result(_execute_shard(spec, 0, items), store, registry=registry)
-        assert registry.counter("yatl.rule.applications").total() > 0
-
-
 # ---------------------------------------------------------------------------
 # Pool lifecycle
 # ---------------------------------------------------------------------------
+
+
+def _worker_spec_cache_size():
+    """Runs in a pool worker: that worker's pid and spec-cache size."""
+    return os.getpid(), len(parallel._SPEC_CACHE)
 
 
 class TestParallelExecutor:
@@ -460,6 +427,23 @@ class TestParallelExecutor:
             assert first.parallel == {"mode": "pool", "shards": 2, "workers": 2}
             assert byte_view(first) == byte_view(second)
             assert executor.stats()["tasks_submitted"] == 4
+
+    def test_worker_spec_cache_holds_one_spec_per_program(
+        self, brochures_program
+    ):
+        # A long-lived pool (repro serve --workers N) runs one program
+        # many times: each worker must keep one spec for it, not one
+        # per run.
+        inputs = brochure_trees(8, distinct_suppliers=2)
+        with ParallelExecutor(2) as executor:
+            executor.warm()
+            for _ in range(5):
+                brochures_program.run(inputs, chunk_size=2, executor=executor)
+            sizes = dict(
+                executor.submit(_worker_spec_cache_size).result()
+                for _ in range(8)
+            )
+        assert sizes and set(sizes.values()) == {1}
 
     def test_closed_executor_rejects_submissions(self):
         executor = ParallelExecutor(2)
