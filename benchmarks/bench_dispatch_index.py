@@ -45,9 +45,8 @@ timed leg — in production the arena comes straight from a wrapper's
 zero-copy import, not from re-encoding trees. Outputs must be
 byte-identical to the indexed tree leg (hard gate);
 ``--min-arena-speedup`` additionally fails the run when the arena leg
-is not at least that many times faster, and ``--arena-json`` writes
-the pairwise comparison as its own ``dispatch_arena`` artifact for
-``benchmarks/compare.py``. ``--no-arena`` is the ablation switch.
+is not at least that many times faster. ``--json`` records the arena
+leg next to the others. ``--no-arena`` is the ablation switch.
 """
 
 from __future__ import annotations
@@ -117,11 +116,6 @@ def main(argv=None) -> int:
         "--min-arena-speedup", type=float, default=None, metavar="X",
         help="fail (exit 1) when the arena leg is less than X times "
              "faster than the indexed tree leg",
-    )
-    parser.add_argument(
-        "--arena-json", metavar="FILE", dest="arena_json_path",
-        help="write the arena-vs-indexed pairwise comparison as its "
-             "own dispatch_arena artifact to FILE",
     )
     parser.add_argument(
         "--provenance", action="store_true",
@@ -262,20 +256,6 @@ def main(argv=None) -> int:
                     f"the {args.min_arena_speedup:.2f}x floor"
                 )
                 exit_code = 1
-            if args.arena_json_path:
-                write_report(
-                    {
-                        "benchmark": "dispatch_arena",
-                        "scenario": report["scenario"],
-                        "legs": {
-                            "indexed": report["legs"]["indexed"],
-                            "arena": leg_data,
-                        },
-                        "identical_outputs": arena_same,
-                        "arena_speedup": round(arena_speedup, 3),
-                    },
-                    args.arena_json_path,
-                )
 
         if args.provenance:
             prov_state = {}

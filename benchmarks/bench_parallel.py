@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     # across the process boundary in each representation — tree chunks
     # (lists of named Tree objects, pickled node by node) versus
     # ArenaShard flat buffers (columns pickled as contiguous arrays).
-    # Measured and reported for the trend tables, never gated.
+    # Measured and reported, never gated.
     def timed_pickle(payloads):
         start = time.perf_counter()
         blobs = [pickle.dumps(payload) for payload in payloads]

@@ -27,8 +27,7 @@ ephemeral ports and drives ``POST /convert/<program>`` four ways:
     grow without limit, so accepted latency cannot either).
 
 ``--mode full``
-    All of the above, one combined report (what CI writes to
-    BENCH_PR6.json).
+    All of the above, one combined report.
 
 ``--mode alerts``
     The closed loop paired back-to-back — no alert rules, then a
@@ -37,9 +36,7 @@ ephemeral ports and drives ``POST /convert/<program>`` four ways:
     times mid-run. Reports the evaluator's throughput overhead as the
     median of per-pair ratios; ``--alerts-max-overhead-pct`` gates it
     (CI uses 5). The rule set is deliberately quiet: anything firing
-    during the run is itself a failure. Writes ``BENCH_PR8.json``
-    under its own ``serve_alerts`` family so the trend observatory
-    never pairs it with the plain closed-loop numbers.
+    during the run is itself a failure.
 
 ``--mode quality``
     The warm-cache closed loop paired back-to-back — shadow
@@ -48,13 +45,12 @@ ephemeral ports and drives ``POST /convert/<program>`` four ways:
     taxes) dominate. Reports the median per-pair throughput overhead;
     ``--quality-max-overhead-pct`` gates it (CI uses 5). Hard gates:
     the worker actually checked samples, and a self-consistent server
-    produced zero mismatches. Writes ``BENCH_PR9.json`` under its own
-    ``serve_quality`` family.
+    produced zero mismatches.
 
 Run standalone (not under pytest)::
 
     python benchmarks/bench_serve.py                        # closed loop
-    python benchmarks/bench_serve.py --quick                # CI smoke
+    python benchmarks/bench_serve.py --quick                # smoke sizes
     python benchmarks/bench_serve.py --mode full --json BENCH_PR6.json
     python benchmarks/bench_serve.py --mode alerts --json BENCH_PR8.json
     python benchmarks/bench_serve.py --mode quality --json BENCH_PR9.json
@@ -708,18 +704,12 @@ def main(argv=None) -> int:
         parser.error("--clients/--requests must be >= 1")
 
     payload = brochure_sgml(args.brochures, distinct_suppliers=4).encode()
-    # The alerts mode gets its own trend family: compare.py pairs
-    # artifacts by family, and an overhead A/B must never be gated
-    # against the plain closed-loop throughput numbers.
-    family = {"alerts": "serve_alerts", "quality": "serve_quality"}.get(
-        args.mode, "serve"
-    )
-    report = {"benchmark": family, "mode": args.mode}
+    report = {"benchmark": "serve", "mode": args.mode}
     failures = []
 
     if args.mode in ("closed", "full"):
         closed_report, closed_failures = run_closed(args, payload)
-        report.update(closed_report)  # PR4-compatible top-level shape
+        report.update(closed_report)
         failures.extend(closed_failures)
     if args.mode in ("ablation", "full"):
         print("cache ablation (closed loop, repeated payload):")

@@ -148,9 +148,9 @@ def _git_sha() -> Optional[str]:
 
 
 def host_info() -> Dict[str, object]:
-    """Where and on what a benchmark ran — stamped into every report so
-    ``benchmarks/compare.py`` can tell comparable artifacts (same
-    machine shape) from apples-to-oranges ones."""
+    """Where and on what a benchmark ran — stamped into every report,
+    since two reports compare only when they share a host: a machine
+    change moves timings as much as a code change does."""
     return {
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),

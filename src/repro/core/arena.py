@@ -117,12 +117,6 @@ class InternTable:
     def intern_ref(self, target: str) -> int:
         return self.intern(K_REF, target)
 
-    def find_label(self, label: Label) -> int:
-        """The id of *label*, or -1 when it was never interned (a label
-        no arena has seen cannot occur in any column)."""
-        ident = self._ids.get((label_kind(label), label), _SENTINEL)
-        return -1 if ident is _SENTINEL else ident  # type: ignore[return-value]
-
     def value(self, ident: int) -> object:
         """The label object (or reference target string) of an id."""
         return self._values[ident]
@@ -352,23 +346,6 @@ class Arena:
     def to_trees(self) -> List[Child]:
         """Decode every root, in encoding order."""
         return [self.decode(offset) for offset in self.roots]
-
-    def subtree_end(self, offset: int) -> int:
-        """One past the last offset of the subtree at *offset* (DFS
-        preorder makes every subtree contiguous)."""
-        sibling = self.next_sibling[offset]
-        node = offset
-        while sibling == -1:
-            node = self.parent[node]
-            if node == -1:
-                # Offset starts the forest's tail — also every root's
-                # case when roots are encoded back to back.
-                index = self.roots.index(offset) if offset in self.roots else -1
-                if index >= 0 and index + 1 < len(self.roots):
-                    return self.roots[index + 1]
-                return len(self.labels)
-            sibling = self.next_sibling[node]
-        return sibling
 
     def nbytes(self) -> int:
         """Approximate payload size of the columns, in bytes."""

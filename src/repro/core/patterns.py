@@ -176,9 +176,6 @@ class PNode:
     def is_leaf(self) -> bool:
         return not self.edges
 
-    def with_edges(self, edges: Sequence[PEdge]) -> "PNode":
-        return PNode(self.label, edges)
-
     def __repr__(self) -> str:
         if self.is_leaf:
             return f"PNode({self.label!r})"

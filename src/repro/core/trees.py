@@ -168,9 +168,6 @@ class Tree:
 
     # -- transformation -----------------------------------------------------
 
-    def with_children(self, children: Iterable[Child]) -> "Tree":
-        return Tree(self.label, children)
-
     def map_refs(self, fn: Callable[[Ref], Child]) -> "Tree":
         """Rebuild the tree, replacing every reference leaf by ``fn(ref)``."""
         new_children: List[Child] = []

@@ -207,12 +207,18 @@ def fingerprint_store(
 
 
 def _histogram_distance(a: Dict[str, int], b: Dict[str, int]) -> float:
-    """Bray-Curtis dissimilarity of two count histograms, in [0, 1]."""
-    total = sum(a.values()) + sum(b.values())
-    if not total:
-        return 0.0
-    shared = sum(min(a[key], b.get(key, 0)) for key in a)
-    return 1.0 - (2.0 * shared) / total
+    """Bray-Curtis dissimilarity of two count histograms taken as
+    proportions of their totals, in [0, 1]: a forest that only grows
+    or shrinks keeps its proportions, so payload size is not drift."""
+    total_a, total_b = sum(a.values()), sum(b.values())
+    if not total_a or not total_b:
+        return float(total_a != total_b)
+    # Cross-multiplied so equal proportions compare exactly.
+    shared = sum(
+        min(count * total_b, b.get(key, 0) * total_a)
+        for key, count in a.items()
+    )
+    return 1.0 - shared / (total_a * total_b)
 
 def _set_distance(a: frozenset, b: frozenset) -> float:
     """Jaccard distance of two signature sets, in [0, 1]."""

@@ -64,10 +64,6 @@ class Table:
             )
         return self.insert(*ordered)
 
-    def insert_many(self, rows: Sequence[Sequence[object]]) -> None:
-        for row in rows:
-            self.insert(*row)
-
     # -- access -------------------------------------------------------------
 
     def rows(self) -> List[Row]:

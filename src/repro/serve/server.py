@@ -982,6 +982,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._do_get()
 
     def _do_get(self) -> None:
+        if ("Transfer-Encoding" in self.headers
+                or self.headers.get("Content-Length", "0").strip() != "0"):
+            # A GET body is never read (reading it could cost up to
+            # MAX_BODY_BYTES), so end the connection after this answer:
+            # the unread bytes would otherwise parse as the next request.
+            self.close_connection = True
         parsed = urlparse(self.path)
         path = parsed.path.rstrip("/") or "/"
         mediator = self.mediator

@@ -143,9 +143,6 @@ class DTD:
     def declares(self, name: str) -> bool:
         return name in self._elements
 
-    def element_names(self) -> List[str]:
-        return list(self._elements)
-
     def check_complete(self) -> None:
         """Every referenced element name must be declared."""
         missing = []

@@ -233,9 +233,6 @@ class Rule:
             return []
         return [(self.head.term, False)] + self.head.skolem_occurrences()
 
-    def body_pattern_names(self) -> List[PatternVar]:
-        return [bp.name for bp in self.body]
-
     def root_body_patterns(self) -> List[BodyPattern]:
         """Body patterns whose name is *not* bound by some other body
         pattern's leaf — these range over the input set; the others match

@@ -146,9 +146,6 @@ class Hierarchy:
             self._dispatch_index = RuleDispatchIndex(self.rules)
         return self._dispatch_index
 
-    def more_general_than(self, rule_name: str) -> Set[str]:
-        return set(self._more_general.get(rule_name, ()))
-
     def is_more_specific(self, a: str, b: str) -> bool:
         """True if rule *a* is strictly more specific than rule *b*."""
         seen: Set[str] = set()

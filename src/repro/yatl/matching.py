@@ -60,11 +60,11 @@ class MatchContext:
         # There used to be a second memo here, over *root* match
         # failures. With the dispatch index on, candidates are
         # label-filtered before they reach the matcher, so the memo
-        # never fired (BENCH_PR7: root_memo_hits stayed 0 with a 1.0
-        # dispatch hit ratio) while every root rejection still paid a
-        # set insert keyed by a full subject hash. It was removed
-        # rather than made index-aware; tests/yatl/test_dispatch.py
-        # pins the removal.
+        # never fired (the dispatch-index benchmark measured
+        # root_memo_hits == 0 at a 1.0 dispatch hit ratio) while every
+        # root rejection still paid a set insert keyed by a full
+        # subject hash. It was removed rather than made index-aware;
+        # tests/yatl/test_dispatch.py pins the removal.
         self.coverage_memo_hits = 0
 
     def instance_check(self, node: Union[Tree, Ref], pattern_name: str) -> bool:

@@ -420,19 +420,26 @@ class TestOneWritePerResponse:
 
 
 class TestEarlyAnswerClosesConnection:
-    """A POST answered before its body is read must end the
+    """A request answered without reading its body must end the
     connection: the unread body would otherwise run as the next
-    request on it."""
+    request on it. That is a POST answered before its body is read,
+    and any GET that carries a body."""
 
-    SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+    SMUGGLED = b"GET /stats/history?limit=0 HTTP/1.1\r\nHost: test\r\n\r\n"
+    CARRIES = f"Content-Length: {len(SMUGGLED)}\r\n"
 
     @pytest.mark.parametrize("head, expected", [
-        (f"POST /nope HTTP/1.1\r\nHost: test\r\n"
-         f"Content-Length: {len(SMUGGLED)}\r\n\r\n", 404),
+        (f"POST /nope HTTP/1.1\r\nHost: test\r\n{CARRIES}\r\n", 404),
         (f"POST /convert/{PROGRAM} HTTP/1.1\r\nHost: test\r\n\r\n", 411),
         (f"POST /convert/{PROGRAM} HTTP/1.1\r\nHost: test\r\n"
          f"Content-Length: 99999999999\r\n\r\n", 413),
-    ], ids=["404", "411", "413"])
+        (f"GET /healthz HTTP/1.1\r\nHost: test\r\n{CARRIES}\r\n", 200),
+        (f"GET /nope HTTP/1.1\r\nHost: test\r\n{CARRIES}\r\n", 404),
+        (f"GET /metrics HTTP/1.1\r\nHost: test\r\n{CARRIES}\r\n", 200),
+        (f"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+         f"Transfer-Encoding: chunked\r\n\r\n", 200),
+    ], ids=["404", "411", "413", "get-healthz", "get-404", "get-metrics",
+            "get-chunked"])
     def test_unread_body_never_runs_as_a_request(
         self, server, head, expected
     ):
@@ -452,7 +459,7 @@ class TestEarlyAnswerClosesConnection:
         assert int(status_line.split()[1]) == expected
         assert b"Connection: close\r\n" in rest
         assert server.registry.value("serve.http.requests",
-                                     route="healthz") == 0
+                                     route="stats_history") == 0
 
 
 class TestUnknownEndpoint:

@@ -161,6 +161,15 @@ class TestShadowVerification:
         assert "sgml" in quality["drift"]
         assert quality["drift"]["sgml"]["drift"] == 0.0
 
+    def test_payload_size_is_not_drift(self, shadow_server):
+        # Same schema, 1 then 24 brochures: the gauge a drift alert
+        # reads must stay at 0.
+        shadow_server.convert(PROGRAM, brochure_sgml(1, distinct_suppliers=2))
+        shadow_server.convert(PROGRAM, brochure_sgml(24, distinct_suppliers=2))
+        assert shadow_server.registry.value(
+            "repro.source_drift", source="sgml"
+        ) == 0.0
+
 
 class TestQuietTime:
     def test_no_check_starts_while_a_request_is_in_flight(self):

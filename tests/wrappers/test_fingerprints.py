@@ -26,6 +26,7 @@ from repro.relational import Column, TableSchema
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema
 from repro.sgml import element
+from repro.workloads import brochure_elements
 from repro.wrappers import (
     HtmlExportWrapper,
     JsonImportWrapper,
@@ -130,6 +131,16 @@ class TestFingerprintIdentity:
             SgmlImportWrapper().to_store([element("b", element("t", "y"))])
         )
         assert a == b
+
+    def test_payload_size_is_not_drift(self):
+        # One brochure or 24 of the same shape: a daemon serving mixed
+        # request sizes must not read that as a schema change.
+        def fingerprint(count):
+            return fingerprint_store(SgmlImportWrapper().to_store(
+                brochure_elements(count, distinct_suppliers=2)
+            ))
+
+        assert drift_score(fingerprint(1), fingerprint(24)) == 0.0
 
 
 class TestFingerprintDrift:

@@ -187,10 +187,11 @@ class TestCandidateFiltering:
     def test_root_failure_memo_removed(self, brochures_program, brochure_b1):
         # Regression pin for the PR10 decision: the root-failure memo
         # never fired once the dispatch index prefiltered candidates by
-        # label (BENCH_PR7 measured root_memo_hits == 0 at a 1.0
-        # dispatch hit ratio), so it was *removed* — MatchContext must
-        # not grow the bookkeeping back, and repeated matching of a
-        # rejected subject must still behave identically without it.
+        # label (the dispatch-index benchmark measured root_memo_hits
+        # == 0 at a 1.0 dispatch hit ratio), so it was *removed* —
+        # MatchContext must not grow the bookkeeping back, and repeated
+        # matching of a rejected subject must still behave identically
+        # without it.
         ctx = MatchContext()
         rule2 = brochures_program.rule("Rule2")
         stray = tree("pricelist", atom(1))
