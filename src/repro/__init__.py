@@ -21,10 +21,9 @@ Quickstart::
     pages = system.publish_to_html(system.import_program("O2Web"), objects)
 """
 
-from . import core, errors, html, library, obs, objectdb, parallel, relational, sgml, workloads, wrappers, yatl
+from . import core, errors, html, library, obs, objectdb, relational, sgml, workloads, wrappers, yatl
 from .core import DataStore, Model, Pattern, Ref, Tree, atom, sym, tree
 from .errors import YatError
-from .parallel import ParallelExecutor
 from .system import YatSystem
 from .yatl import ConversionResult, Program, Rule, parse_program, parse_rule
 
@@ -37,7 +36,6 @@ __all__ = [
     "library",
     "obs",
     "objectdb",
-    "parallel",
     "relational",
     "sgml",
     "workloads",
@@ -53,7 +51,6 @@ __all__ = [
     "tree",
     "YatError",
     "YatSystem",
-    "ParallelExecutor",
     "ConversionResult",
     "Program",
     "Rule",

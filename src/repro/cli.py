@@ -218,12 +218,7 @@ def cmd_convert(args, library: Library) -> int:
     ) as profiler:
         with span("pipeline", program=args.program, to=args.to):
             store = _read_inputs(args.inputs, coerce_numbers=not args.no_coerce)
-            result = program.run(
-                store,
-                runtime_typing=args.runtime_typing,
-                workers=args.workers,
-                chunk_size=args.chunk_size,
-            )
+            result = program.run(store, runtime_typing=args.runtime_typing)
             with span("export", to=args.to):
                 _emit(result, args.output, args.to)
     if flamegraph:
@@ -282,12 +277,7 @@ def cmd_profile(args, library: Library) -> int:
     with collecting(registry), profiling(hz=args.hz) as profiler:
         with span("pipeline", program=args.program, to="profile"):
             store = _read_inputs(args.inputs, coerce_numbers=not args.no_coerce)
-            result = program.run(
-                store,
-                runtime_typing=args.runtime_typing,
-                workers=args.workers,
-                chunk_size=args.chunk_size,
-            )
+            result = program.run(store, runtime_typing=args.runtime_typing)
     profile = profiler.profile
     total = profile.total_seconds
     print(
@@ -503,7 +493,6 @@ def cmd_serve(args, library: Library) -> int:
         trace_capacity=args.trace_capacity,
         warm=not args.no_warm,
         allow_test_delay=args.debug_delay,
-        workers=args.workers,
         cache_size=args.cache_size,
         max_queue_depth=args.max_queue_depth,
         history_interval_s=args.history_interval,
@@ -650,13 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="RATE",
                          help="fraction of rule firings to record in the "
                               "event log (default 1.0; counters stay exact)")
-    convert.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="convert with the multi-process executor "
-                              "(N worker processes; output is byte-identical "
-                              "for every N — see docs/PERFORMANCE.md)")
-    convert.add_argument("--chunk-size", type=int, default=None, metavar="K",
-                         help="inputs per shard for --workers (default: "
-                              "heuristic; small inputs stay single-pass)")
 
     profile = sub.add_parser(
         "profile",
@@ -676,12 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "speedscope, else collapsed-stack text)")
     profile.add_argument("--force", action="store_true",
                          help="overwrite an existing --out file")
-    profile.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="profile the multi-process executor (workers "
-                              "sample themselves; shard profiles merge into "
-                              "one flamegraph)")
-    profile.add_argument("--chunk-size", type=int, default=None, metavar="K",
-                         help="inputs per shard for --workers")
     profile.add_argument("--runtime-typing", action="store_true",
                          help="raise on inputs matched by no rule (Section 3.5)")
     profile.add_argument("--no-coerce", action="store_true",
@@ -792,9 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "/trace/<id> (default 64)")
     serve.add_argument("--no-warm", action="store_true",
                        help="skip program-library warmup (readyz stays 503)")
-    serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="shared multi-process conversion pool: shard "
-                            "large requests across N worker processes")
     serve.add_argument("--cache-size", type=int, default=256, metavar="N",
                        help="conversion result cache capacity in entries "
                             "(0 disables; default 256)")

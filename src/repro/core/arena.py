@@ -16,11 +16,9 @@ work:
 
 Nodes are laid out in **DFS preorder**, so every subtree — and every
 named root tree — occupies one contiguous block of offsets. That makes
-two things cheap: a shard of roots is a couple of array slices
-(:class:`ArenaShard`, pickled as flat buffers), and streaming *zero-copy
-import* is a push/pop :class:`ArenaWriter` (wrappers append parse
-events straight into the columns, no intermediate ``Tree``
-allocation).
+streaming *zero-copy import* a push/pop :class:`ArenaWriter` (wrappers
+append parse events straight into the columns, no intermediate
+``Tree`` allocation).
 
 Conversion is lossless and hash-stable both ways: ``Arena.from_trees``
 / ``Arena.to_trees`` round-trip to equal trees with equal
@@ -36,12 +34,11 @@ representation, and materialization is lazy and cached per root.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import DanglingReferenceError
-from .labels import Label, Symbol, is_label
+from .labels import Label, Symbol
 from .trees import DataStore, Ref, Tree
 
 Child = Union[Tree, Ref]
@@ -130,9 +127,6 @@ class InternTable:
     def kind(self, ident: int) -> int:
         return self._kinds[ident]
 
-    def entry(self, ident: int) -> Tuple[int, object]:
-        return (self._kinds[ident], self._values[ident])
-
     def leaf(self, ident: int) -> Tree:
         """The cached leaf ``Tree`` for a non-reference label id."""
         cached = self._leaves.get(ident)
@@ -154,9 +148,8 @@ class InternTable:
         return len(self._values)
 
 
-#: The process-global intern table. Worker processes each grow their
-#: own (ids are process-local); :class:`ArenaShard` ships ``(kind,
-#: value)`` vocabularies and re-interns on arrival.
+#: The process-global intern table. Its ids are process-local: they are
+#: never written out or sent to another process.
 GLOBAL_INTERN = InternTable()
 
 
@@ -432,14 +425,6 @@ class ArenaStore:
     def root_offset(self, index: int) -> int:
         return self.arena.roots[index]
 
-    def root_block(self, index: int) -> Tuple[int, int]:
-        """The contiguous ``[start, end)`` offset block of root *index*
-        (roots are encoded back to back)."""
-        roots = self.arena.roots
-        start = roots[index]
-        end = roots[index + 1] if index + 1 < len(roots) else len(self.arena)
-        return start, end
-
     def tree_root(self, index: int) -> Child:
         """Materialize root *index* (cached: repeated calls return the
         same object, so ``id()``-keyed interpreter state stays stable)."""
@@ -536,114 +521,3 @@ class ArenaStore:
         duplicate._cache = dict(self._cache)
         duplicate._by_id = dict(self._by_id)
         return duplicate
-
-
-class ArenaShard:
-    """A picklable slice of an :class:`ArenaStore` (roots ``[lo, hi)``).
-
-    Columns pickle as flat array buffers — no per-tree ``__reduce__``
-    walk — which is what makes arena sharding cheap compared to pickling
-    tree objects. Intern ids are process-local, so the shard carries a
-    dense local ``vocab`` of ``(kind, value)`` entries; ``to_store``
-    re-interns them into the receiving process's global table. Structure
-    columns are not shipped at all: DFS preorder plus per-node child
-    counts reconstruct ``parent``/``first_child``/``next_sibling`` in
-    one linear pass.
-    """
-
-    __slots__ = ("names", "labels", "n_children", "root_starts", "vocab")
-
-    def __init__(
-        self,
-        names: List[str],
-        labels: array,
-        n_children: array,
-        root_starts: array,
-        vocab: List[Tuple[int, object]],
-    ) -> None:
-        self.names = names
-        self.labels = labels
-        self.n_children = n_children
-        self.root_starts = root_starts
-        self.vocab = vocab
-
-    @classmethod
-    def slice(cls, store: ArenaStore, lo: int, hi: int) -> "ArenaShard":
-        arena = store.arena
-        start, _ = store.root_block(lo)
-        _, end = store.root_block(hi - 1)
-        global_labels = arena.labels[start:end]
-        entry = arena.intern.entry
-        local_ids: Dict[int, int] = {}
-        vocab: List[Tuple[int, object]] = []
-        labels = array("q")
-        for ident in global_labels:
-            local = local_ids.get(ident)
-            if local is None:
-                local = len(vocab)
-                local_ids[ident] = local
-                vocab.append(entry(ident))
-            labels.append(local)
-        root_starts = array(
-            "q", (arena.roots[index] - start for index in range(lo, hi))
-        )
-        return cls(
-            names=[store.name_at(index) for index in range(lo, hi)],
-            labels=labels,
-            n_children=arena.n_children[start:end],
-            root_starts=root_starts,
-            vocab=vocab,
-        )
-
-    def nbytes(self) -> int:
-        return (
-            len(self.labels) * self.labels.itemsize
-            + len(self.n_children) * self.n_children.itemsize
-            + len(self.root_starts) * self.root_starts.itemsize
-            + sum(sys.getsizeof(value) for _, value in self.vocab)
-        )
-
-    def to_store(self, intern: Optional[InternTable] = None) -> ArenaStore:
-        """Rebuild an :class:`ArenaStore` in this process: re-intern the
-        vocabulary, remap the label column, and derive the structure
-        columns from the child counts."""
-        table = intern if intern is not None else GLOBAL_INTERN
-        global_ids = array(
-            "q", (table.intern(kind, value) for kind, value in self.vocab)
-        )
-        kind_of = bytearray(kind for kind, _ in self.vocab)
-        arena = Arena(table)
-        arena.labels = array("q", (global_ids[local] for local in self.labels))
-        arena.kinds = bytearray(kind_of[local] for local in self.labels)
-        n_children = self.n_children
-        size = len(n_children)
-        arena.n_children = array("q", n_children)
-        parent = array("q", [-1]) * size
-        first_child = array("q", [-1]) * size
-        next_sibling = array("q", [-1]) * size
-        stack: List[List[int]] = []  # [offset, remaining children, last child]
-        for offset in range(size):
-            if stack:
-                top = stack[-1]
-                parent[offset] = top[0]
-                if top[2] == -1:
-                    first_child[top[0]] = offset
-                else:
-                    next_sibling[top[2]] = offset
-                top[2] = offset
-                top[1] -= 1
-            count = n_children[offset]
-            if count:
-                stack.append([offset, count, -1])
-            while stack and stack[-1][1] == 0:
-                stack.pop()
-        arena.parent = parent
-        arena.first_child = first_child
-        arena.next_sibling = next_sibling
-        arena.roots = array("q", self.root_starts)
-        store = ArenaStore(arena)
-        store._names = []
-        store._positions = {}
-        for name in self.names:
-            store._register(name)
-        return store

@@ -16,19 +16,15 @@ from typing import Dict, Iterable, Iterator, List, Optional
 from ..errors import ModelError
 from .instantiation import model_is_instance
 from .patterns import (
-    NameTerm,
     Pattern,
-    PChild,
-    PNameLeaf,
     edge_one,
     edge_star,
     name_leaf,
     pnode,
-    pvar,
     ref_leaf,
     var,
 )
-from .variables import ANY, ATOMIC, SYMBOL, Var, enum
+from .variables import ATOMIC, SYMBOL, Var, enum
 
 
 class Model:

@@ -37,9 +37,9 @@ class Ref:
         raise AttributeError("Ref is immutable")
 
     def __reduce__(self):
-        # Slots + the immutability guard break default unpickling;
-        # rebuild through the constructor (needed to ship trees to the
-        # worker processes of repro.parallel).
+        # Slots + the immutability guard break default unpickling
+        # (loading a pickled Ref raises); rebuild through the
+        # constructor.
         return (Ref, (self.target,))
 
     def __repr__(self) -> str:

@@ -34,8 +34,8 @@ class SyntaxYatError(YatError):
     def __reduce__(self):
         # The default exception reduction replays __init__ with
         # self.args, which would re-append the location suffix; rebuild
-        # from the finished message instead (worker processes ship
-        # exceptions back pickled).
+        # from the finished message instead, so a pickled error reloads
+        # with the message it was raised with.
         return (_rebuild_error, (type(self), self.args, self.__dict__))
 
 
@@ -60,7 +60,8 @@ class NonDeterminismError(EvaluationError):
 
     def __reduce__(self):
         # args holds only the rendered message; replaying __init__ with
-        # it would misplace it into skolem_key. See SyntaxYatError.
+        # it would misplace it into skolem_key and reload the error with
+        # a different message. See SyntaxYatError.
         return (_rebuild_error, (type(self), self.args, self.__dict__))
 
 

@@ -62,7 +62,6 @@ from .metrics import (
     MetricsRegistry,
     ambient_registry,
     collecting,
-    merge_snapshot,
     record,
     record_gauge,
 )
@@ -140,7 +139,6 @@ __all__ = [
     "MetricsRegistry",
     "ambient_registry",
     "collecting",
-    "merge_snapshot",
     "record",
     "record_gauge",
     "Span",

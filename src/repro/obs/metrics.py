@@ -202,44 +202,6 @@ class Histogram(Metric):
             keys.update(dict.fromkeys(self._nonfinite))
             return [dict(key) for key in keys]
 
-    def absorb(
-        self,
-        cumulative: Dict[str, float],
-        total_sum: float,
-        total_count: float,
-        nonfinite: float = 0,
-        **labels: object,
-    ) -> None:
-        """Fold a snapshot-format series (cumulative bucket counts keyed
-        by the JSON bound spelling, plus sum/count) into this histogram.
-        The inverse of :meth:`MetricsRegistry.snapshot` for one series —
-        how per-worker registries merge back into the run registry."""
-        parsed = sorted(
-            (_parse_bound(bound), count) for bound, count in cumulative.items()
-        )
-        if tuple(bound for bound, _ in parsed) != tuple(
-            float(bound) for bound in self.buckets
-        ):
-            raise ValueError(
-                f"histogram {self.name!r}: cannot absorb series with "
-                f"different bucket bounds"
-            )
-        key = _label_key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = [0.0] * (len(self.buckets) + 2)
-                self._series[key] = series
-            previous = 0.0
-            for index, (_, count) in enumerate(parsed):
-                series[index] += count - previous
-                previous = count
-            series[-2] += total_sum
-            series[-1] += total_count
-            self._values[key] = series[-1]
-            if nonfinite:
-                self._nonfinite[key] = self._nonfinite.get(key, 0) + nonfinite
-
 
 class MetricsRegistry:
     """A named family of metrics.
@@ -354,49 +316,6 @@ def _estimate_quantile(
         if bound != math.inf:
             lower = bound
     return lower
-
-
-def _parse_bound(spelled: str) -> float:
-    return math.inf if spelled == "+Inf" else float(spelled)
-
-
-def merge_snapshot(
-    registry: MetricsRegistry, snapshot: Dict[str, Dict[str, object]]
-) -> None:
-    """Fold a :meth:`MetricsRegistry.snapshot` into *registry*.
-
-    Counters add, histograms absorb their bucket deltas, and gauges are
-    overwritten (last writer wins — callers that derive gauges from
-    counters, like the dispatch ratios, should recompute them after the
-    merge). This is the transport between the per-worker registries of
-    :mod:`repro.parallel` and the run's ambient registry: snapshots are
-    plain JSON-ready data, so they cross process boundaries where the
-    lock-bearing registry objects cannot.
-    """
-    for name, entry in snapshot.items():
-        kind = entry.get("type")
-        help_text = str(entry.get("help", ""))
-        for series in entry.get("series", ()):  # type: ignore[union-attr]
-            labels = dict(series.get("labels", {}))
-            if kind == "counter":
-                registry.counter(name, help_text).inc(
-                    float(series["value"]), **labels
-                )
-            elif kind == "gauge":
-                registry.gauge(name, help_text).set(
-                    float(series["value"]), **labels
-                )
-            elif kind == "histogram":
-                bounds = sorted(
-                    _parse_bound(bound) for bound in series["buckets"]
-                )
-                registry.histogram(name, help_text, buckets=bounds).absorb(
-                    series["buckets"],
-                    float(series["sum"]),
-                    float(series["count"]),
-                    float(series.get("nonfinite", 0)),
-                    **labels,
-                )
 
 
 def _histogram_json(stats: Dict[str, object]) -> Dict[str, object]:

@@ -30,10 +30,7 @@ Exports:
   weights.
 
 The profiler installs ambiently (:func:`profiling`) like the metrics
-registry and span recorder, which is how the multi-process executor
-notices a profile is wanted: worker shards run their own local sampler
-and ship the aggregated stacks home, where they merge into the ambient
-profile (:mod:`repro.parallel`).
+registry and span recorder.
 """
 
 from __future__ import annotations
@@ -199,9 +196,7 @@ def phase_of_stack(stack: Tuple[FrameKey, ...]) -> str:
 class Profile:
     """Aggregated samples: unique stacks with counts and wall seconds.
 
-    Thread-safe (the sampler thread writes while readers export), and
-    mergeable — per-shard worker profiles fold into the parent run's
-    profile with :meth:`merge` / :meth:`merge_json`.
+    Thread-safe: the sampler thread writes while readers export.
     """
 
     def __init__(self, hz: float = DEFAULT_HZ) -> None:
@@ -232,23 +227,6 @@ class Profile:
             else:
                 entry[0] += count
                 entry[1] += seconds
-
-    def merge(self, other: "Profile") -> None:
-        with other._lock:
-            items = list(other._stacks.items())
-            duration = other.duration_s
-        with self._lock:
-            for key, (count, seconds) in items:
-                entry = self._stacks.get(key)
-                if entry is None:
-                    self._stacks[key] = [count, seconds]
-                else:
-                    entry[0] += count
-                    entry[1] += seconds
-            # Shard profiles ran concurrently: wall duration is the
-            # max, not the sum (the weights already carry per-thread
-            # time).
-            self.duration_s = max(self.duration_s, duration)
 
     # -- reading ------------------------------------------------------------
 
@@ -365,39 +343,6 @@ class Profile:
             }],
         }
 
-    # -- transport ----------------------------------------------------------
-
-    def to_json(self) -> Dict[str, object]:
-        """Plain data, invertible by :meth:`from_json` — how worker
-        shards ship their profiles across the process boundary."""
-        return {
-            "hz": self.hz,
-            "duration_s": self.duration_s,
-            "stacks": [
-                {
-                    "frames": [list(frame) for frame in key],
-                    "count": count,
-                    "seconds": seconds,
-                }
-                for key, count, seconds in self.stacks()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, object]) -> "Profile":
-        profile = cls(hz=float(payload.get("hz", DEFAULT_HZ)))
-        profile.duration_s = float(payload.get("duration_s", 0.0))
-        for entry in payload.get("stacks", ()):  # type: ignore[union-attr]
-            profile.add_stack(
-                [tuple(frame) for frame in entry["frames"]],
-                seconds=float(entry.get("seconds", 0.0)),
-                count=int(entry.get("count", 1)),
-            )
-        return profile
-
-    def merge_json(self, payload: Dict[str, object]) -> None:
-        self.merge(Profile.from_json(payload))
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._stacks)
@@ -453,7 +398,6 @@ class SamplingProfiler:
         self._thread: Optional[threading.Thread] = None
         self._started_at: Optional[float] = None
         self._skip_threads = {None}
-        self._pid: Optional[int] = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -461,18 +405,10 @@ class SamplingProfiler:
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
-    def samples_this_process(self) -> bool:
-        """Whether this profiler's sampler thread runs in the *current*
-        process. A forked worker inherits the parent's ambient profiler
-        object through the copied ContextVar, but not its sampler
-        thread — such a worker must sample itself."""
-        return self._pid == os.getpid()
-
     def start(self) -> "SamplingProfiler":
         if self.running:
             return self
         self._stop.clear()
-        self._pid = os.getpid()
         self._started_at = time.perf_counter()
         self._thread = threading.Thread(
             target=self._loop, name="repro-profiler", daemon=True
@@ -541,9 +477,7 @@ _PROFILER: ContextVar[Optional[SamplingProfiler]] = ContextVar(
 
 
 def ambient_profiler() -> Optional[SamplingProfiler]:
-    """The profiler installed by the nearest :func:`profiling`, if any
-    — the multi-process executor reads this to decide whether worker
-    shards should sample themselves."""
+    """The profiler installed by the nearest :func:`profiling`, if any."""
     return _PROFILER.get()
 
 

@@ -343,59 +343,6 @@ class ProvenanceStore:
                 frontier.append(record.output)
         return reached
 
-    # -- aggregation --------------------------------------------------------
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, object]) -> "ProvenanceStore":
-        """Rebuild a store from a :meth:`to_json` payload — the inverse
-        transport used when worker processes ship their per-shard
-        provenance back to the parent (:mod:`repro.parallel`)."""
-        store = cls(sample_rate=float(payload.get("sample_rate", 1.0)))
-        for output, origins in payload.get("origins", {}).items():  # type: ignore[union-attr]
-            store._origins[output] = set(origins)
-        for input_id, source in payload.get("sources", {}).items():  # type: ignore[union-attr]
-            store._sources[input_id] = source
-        for entry in payload.get("records", ()):  # type: ignore[union-attr]
-            store._add_record(
-                ProvenanceRecord(
-                    seq=int(entry["seq"]),
-                    output=entry["output"],
-                    rule=entry["rule"],
-                    inputs=tuple(entry.get("inputs", ())),
-                    program=entry.get("program"),
-                    skolem=entry.get("skolem"),
-                    span_id=entry.get("span_id"),
-                    trace_id=entry.get("trace_id"),
-                ),
-                count=False,
-            )
-        store.firings = int(payload.get("firings", len(store._records)))
-        store.recorded = int(payload.get("recorded", len(store._records)))
-        return store
-
-    def merge(self, other: "ProvenanceStore") -> None:
-        """Fold another store's records, origins, and sources into this
-        one (sequence numbers are reassigned to stay unique)."""
-        self._flush()
-        for record in other.records():
-            with self._lock:
-                self.firings += 1
-                renumbered = ProvenanceRecord(
-                    seq=self.firings,
-                    output=record.output,
-                    rule=record.rule,
-                    inputs=record.inputs,
-                    program=record.program,
-                    skolem=record.skolem,
-                    span_id=record.span_id,
-                    trace_id=record.trace_id,
-                )
-                self._add_record(renumbered)
-        with self._lock:
-            for output, origins in other._origins.items():
-                self._origins.setdefault(output, set()).update(origins)
-            self._sources.update(other.sources())
-
     # -- export -------------------------------------------------------------
 
     def to_json(self) -> Dict[str, object]:

@@ -20,8 +20,8 @@ legs:
   with zero new alerting code, and :class:`~repro.obs.MetricsHistory`
   snapshots it like any other gauge.
 * **Semantic diff** — :func:`semantic_diff` keys two conversion
-  results on canonical Skolem terms (the same identity the shard merge
-  of :mod:`repro.parallel` reconciles on), classifies added / removed
+  results on canonical Skolem terms (identifiers depend on allocation
+  order, the terms behind them do not), classifies added / removed
   / changed outputs, and attributes each change to the rule and
   binding inputs that produced it via provenance back-chains
   (``repro diff``).
@@ -40,7 +40,7 @@ from collections import Counter as TallyCounter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.labels import Symbol
-from ..core.trees import DataStore, Ref, Tree
+from ..core.trees import Ref, Tree
 from .metrics import MetricsRegistry, ambient_registry
 
 #: The schema-drift gauge. Prometheus exposition rewrites dots to
@@ -577,11 +577,10 @@ def canonical_term(skolems, identifier: str, _seen: frozenset = frozenset()) -> 
     """The run-independent identity of an output node.
 
     Generated identifiers (``s1``, ``c2``) depend on allocation order;
-    the *(functor, args)* Skolem term behind them does not — it is the
-    same identity PR 5's shard merge reconciles on. Arguments that are
-    references to other Skolem-generated nodes expand recursively (with
-    a cycle guard), so the rendering is stable across runs even when
-    numbering shifts."""
+    the *(functor, args)* Skolem term behind them does not. Arguments
+    that are references to other Skolem-generated nodes expand
+    recursively (with a cycle guard), so the rendering is stable across
+    runs even when numbering shifts."""
     try:
         functor, args = skolems.key_of(identifier)
     except KeyError:

@@ -73,20 +73,6 @@ class Span:
     def duration_us(self) -> float:
         return self.end_us - self.start_us
 
-    def to_json(self) -> Dict[str, object]:
-        """A plain-data view, invertible by :meth:`SpanRecorder.absorb`
-        (worker processes ship their span trees back this way)."""
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "category": self.category,
-            "start_us": self.start_us,
-            "end_us": self.end_us,
-            "args": dict(self.args),
-            "thread_id": self.thread_id,
-        }
-
     def __repr__(self) -> str:
         return (
             f"Span({self.name!r}, {self.duration_us:.1f}us, "
@@ -129,36 +115,6 @@ class SpanRecorder:
 
     def find(self, name: str) -> List[Span]:
         return [s for s in self.spans() if s.name == name]
-
-    def absorb(
-        self,
-        spans: List[Dict[str, object]],
-        parent_id: Optional[int] = None,
-        **extra_args: object,
-    ) -> None:
-        """Graft a worker recorder's span tree (``Span.to_json`` dicts)
-        into this recorder: span ids are re-allocated here (the worker's
-        id space is private), parent links are remapped, and the
-        worker's root spans attach under *parent_id*. ``extra_args``
-        (e.g. ``shard=3``) are stamped onto every grafted span. On
-        Linux ``time.perf_counter`` is CLOCK_MONOTONIC — one system-wide
-        timebase — so the worker timestamps stay directly comparable."""
-        remapped: Dict[object, int] = {}
-        for entry in spans:
-            remapped[entry["span_id"]] = self.allocate_id()
-        for entry in spans:
-            args = dict(entry.get("args", {}))
-            args.update(extra_args)
-            self.add(Span(
-                span_id=remapped[entry["span_id"]],
-                parent_id=remapped.get(entry.get("parent_id"), parent_id),
-                name=str(entry["name"]),
-                category=str(entry.get("category", "yat")),
-                start_us=float(entry["start_us"]),
-                end_us=float(entry["end_us"]),
-                args=args,
-                thread_id=int(entry.get("thread_id", 0)),
-            ))
 
     def chrome_trace_events(self) -> List[Dict[str, object]]:
         """Chrome trace-event "complete" (``ph: X``) events."""
@@ -268,8 +224,7 @@ def spans_active() -> bool:
 
 def ambient_recorder() -> Optional[SpanRecorder]:
     """The recorder installed by the nearest :func:`recording`, if any
-    (mirrors :func:`repro.obs.ambient_registry` — the parallel executor
-    grafts worker span trees into it)."""
+    (mirrors :func:`repro.obs.ambient_registry`)."""
     return _RECORDER.get()
 
 

@@ -90,7 +90,6 @@ from ..obs import (
     span,
     tracing,
 )
-from ..parallel import ParallelExecutor
 from ..sgml.parser import parse_sgml_many
 from ..system import YatSystem
 from ..wrappers.html import HtmlExportWrapper
@@ -146,7 +145,6 @@ class MediatorServer:
         warm: bool = True,
         allow_test_delay: bool = False,
         drain_timeout_s: float = 10.0,
-        workers: Optional[int] = None,
         cache_size: int = 256,
         max_queue_depth: Optional[int] = None,
         history_interval_s: float = 5.0,
@@ -157,21 +155,6 @@ class MediatorServer:
     ) -> None:
         self.system = system if system is not None else YatSystem()
         self.registry = self.system.metrics
-        # Parallel conversion: one ParallelExecutor shared by every
-        # request for the whole server lifetime (forked lazily, warmed
-        # in start() before request threads exist). workers=None keeps
-        # the plain single-pass path; workers=1 exercises the sharded
-        # executor serially (useful to stage a rollout).
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self.executor = (
-            ParallelExecutor(workers) if workers is not None and workers > 1
-            else None
-        )
-        self.registry.gauge(
-            "serve.pool.workers", "parallel conversion workers (0 = off)"
-        ).set(workers or 0)
         # -- the fast path (docs/PERFORMANCE.md) ---------------------------
         # Result cache: cache_size=0 disables it (the bench ablation).
         if cache_size < 0:
@@ -291,11 +274,6 @@ class MediatorServer:
         flips ``/readyz`` when the program library is parsed."""
         self._started_monotonic = time.monotonic()
         self.events.emit("server.started", host=self.host, port=self.port)
-        if self.executor is not None:
-            # Fork the pool before any request thread exists: forking a
-            # multi-threaded parent risks inheriting held locks.
-            self.executor.warm()
-            self.events.emit("server.pool_warmed", workers=self.executor.workers)
         self._history_sampler.start()
         self._serve_thread = threading.Thread(
             target=self._httpd.serve_forever,
@@ -365,8 +343,6 @@ class MediatorServer:
         self._httpd.server_close()  # close the listening socket
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=10)
-        if self.executor is not None:
-            self.executor.close()
         self._stopped.set()
         self.events.emit(
             "server.stopped",
@@ -456,10 +432,6 @@ class MediatorServer:
                 "errors_total": errors.total(),
                 "programs": self.system.library.program_names(),
                 "traces_retained": len(self.traces),
-                "pool": (
-                    self.executor.stats() if self.executor is not None
-                    else {"workers": self.workers or 0, "tasks_submitted": 0}
-                ),
                 "cache": (
                     self.cache.stats() if self.cache is not None
                     else {"capacity": 0}
@@ -833,24 +805,13 @@ class MediatorServer:
         with span("serve.parse", category="serve"):
             documents = parse_sgml_many(body)
             store = SgmlImportWrapper().to_store(documents)
-        result = self.system.run(
-            program, store, workers=self.workers, executor=self.executor
-        )
+        result = self.system.run(program, store)
         counts = {
             "input_trees": len(store),
             "output_trees": len(result.store),
             "unconverted": len(result.unconverted),
             "warnings": len(result.warnings),
         }
-        parallel = getattr(result, "parallel", None)
-        if parallel is not None:
-            self.registry.counter(
-                "serve.pool.requests", "requests run through the sharded executor"
-            ).inc(program=program_name, mode=parallel["mode"])
-            self.registry.counter(
-                "serve.pool.shards", "shards executed for requests"
-            ).inc(parallel["shards"], program=program_name)
-            counts["shards"] = parallel["shards"]
         payload: Dict[str, object] = {"program": program_name, **counts}
         if result.warnings:
             payload["warning_messages"] = list(result.warnings)

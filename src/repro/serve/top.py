@@ -190,15 +190,12 @@ def alert_banner(server: Dict[str, object]) -> Optional[str]:
 def _config_line(server: Dict[str, object]) -> str:
     """The configured fast-path knobs (capacities, not live state) in
     one header line: what this daemon was *started with*."""
-    pool = server.get("pool", {})
     cache = server.get("cache", {})
     admission = server.get("admission", {})
     history = server.get("history", {})
-    workers = int(float(pool.get("workers", 0) or 0))
     cache_cap = int(float(cache.get("capacity", 0) or 0))
     max_depth = admission.get("max_queue_depth")
     parts = [
-        f"workers {workers if workers else 'off'}",
         f"cache {cache_cap if cache_cap else 'off'}",
         f"queue {int(float(max_depth)) if max_depth else 'off'}",
     ]

@@ -15,6 +15,12 @@ from .document import Element
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
+#: Deepest element nesting a document may have (the root is depth 1).
+#: The parser and the tree walks after it recurse once per level, so a
+#: deeper document is refused here with a line-numbered error instead
+#: of exhausting the interpreter's stack.
+MAX_DEPTH = 256
+
 
 def parse_sgml(text: str) -> Element:
     """Parse one document and return its root element."""
@@ -91,9 +97,11 @@ class _Parser:
             raise self.error("content after the root element")
         return root
 
-    def parse_element(self) -> Element:
+    def parse_element(self, depth: int = 1) -> Element:
         if not self.text.startswith("<", self.pos):
             raise self.error("expected a start tag")
+        if depth > MAX_DEPTH:
+            raise self.error(f"elements nested deeper than {MAX_DEPTH}")
         tag = self._read_tag()
         element = Element(tag)
         while True:
@@ -113,7 +121,7 @@ class _Parser:
                 self.pos = end + 3
                 continue
             if self.text.startswith("<", self.pos):
-                element.append(self.parse_element())
+                element.append(self.parse_element(depth + 1))
                 continue
             text = self._read_text()
             if text:

@@ -257,22 +257,10 @@ class YatSystem:
         program: Program,
         data: Union[DataStore, Sequence[Tree], Tree],
         runtime_typing: bool = False,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        executor=None,
     ) -> ConversionResult:
-        """Convert *data* under the system's metrics/provenance context.
-        ``workers``/``chunk_size``/``executor`` select the multi-process
-        executor of :mod:`repro.parallel` (the serve plane passes its
-        shared pool here)."""
+        """Convert *data* under the system's metrics/provenance context."""
         with collecting(self.metrics), self._tracing():
-            return program.run(
-                data,
-                runtime_typing=runtime_typing,
-                workers=workers,
-                chunk_size=chunk_size,
-                executor=executor,
-            )
+            return program.run(data, runtime_typing=runtime_typing)
 
     def export_odmg(
         self, result: ConversionResult, schema: ObjectSchema

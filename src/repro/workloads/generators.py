@@ -141,8 +141,8 @@ _KIND_BASES = [
 
 def document_kind_names(count: int) -> List[str]:
     """``count`` distinct document-kind names, car-dealer flavoured —
-    the heterogeneous document base of the dispatch-index and parallel
-    benchmarks (price lists, invoices, service records...)."""
+    the heterogeneous document base of the dispatch-index benchmark and
+    of dealer_ingest (price lists, invoices, service records...)."""
     return [
         f"{_KIND_BASES[i % len(_KIND_BASES)]}_{i // len(_KIND_BASES)}"
         for i in range(count)
@@ -272,7 +272,7 @@ def deep_object_store(
 ) -> ObjectStore:
     """A store exercising deep recursion in the O2Web program: nested
     tuples/lists down to ``depth`` levels under a single object."""
-    from ..objectdb.types import STRING, list_of, tuple_of
+    from ..objectdb.types import STRING, list_of
     from ..objectdb.schema import ClassDef
 
     def nested_type(level: int):

@@ -33,12 +33,8 @@ from ..core.patterns import (
     GROUP,
     INDEX,
     ONE,
-    ORDER,
     STAR,
-    NameTerm,
-    PChild,
     PNode,
-    PVarLeaf,
     collect_variables,
 )
 from ..core.trees import Tree

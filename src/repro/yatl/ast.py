@@ -266,7 +266,7 @@ class Rule:
 def bind_body_refs(tree: PChild, body_names: Set[str]) -> PChild:
     """Rewrite ``&Name`` reference leaves whose target names a body
     pattern into pattern-variable references (see :class:`Rule`)."""
-    from ..core.patterns import PEdge, PNode  # local to avoid re-export noise
+    from ..core.patterns import PNode  # local to avoid re-export noise
 
     if isinstance(tree, PRefLeaf):
         target = tree.target

@@ -29,13 +29,11 @@ from ..core.patterns import (
     GROUP,
     INDEX,
     ONE,
-    ORDER,
     STAR,
     NameTerm,
     PChild,
     PEdge,
     PNameLeaf,
-    PNode,
     PRefLeaf,
     PVarLeaf,
     collect_variables,

@@ -33,7 +33,6 @@ from ..core.instantiation import InstantiationContext, is_instance
 from ..core.labels import Label, is_label
 from ..core.models import Model
 from ..core.patterns import (
-    GROUP,
     INDEX,
     ONE,
     ORDER,

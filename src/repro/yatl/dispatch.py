@@ -230,9 +230,8 @@ class RuleDispatchIndex:
     """Per-rule root signatures, built once per program.
 
     Immutable, so one index is safely shared between runs of one
-    interpreter (and between the shards of a parallel run); each run
-    applies it to its own inputs through a :class:`RootView`, and the
-    demand loop through :meth:`admits`.
+    interpreter; each run applies it to its own inputs through a
+    :class:`RootView`, and the demand loop through :meth:`admits`.
     """
 
     def __init__(self, rules: Sequence[Rule]) -> None:

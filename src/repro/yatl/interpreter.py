@@ -192,23 +192,6 @@ class Interpreter:
         ``--no-arena`` ablation) to convert arena inputs to a
         :class:`~repro.core.trees.DataStore` up front and run the plain
         tree path. Irrelevant for non-arena inputs.
-    workers:
-        Evaluate the top-level input forest with the multi-process
-        executor of :mod:`repro.parallel`: the inputs are split into
-        contiguous chunks, each chunk runs through its own interpreter
-        with an isolated Skolem table, and the chunk results are merged
-        back deterministically (Skolem identifiers reconciled by
-        canonical term). ``workers=1`` runs the same chunk plan
-        serially in-process, so ``workers=N`` output is always
-        byte-identical to ``workers=1`` — see docs/PERFORMANCE.md.
-        ``None`` (default) keeps the plain single-pass evaluation.
-    chunk_size:
-        Inputs per chunk for ``workers=``; defaults to a heuristic that
-        leaves small forests on the plain in-process path.
-    executor:
-        A shared :class:`repro.parallel.ParallelExecutor` (e.g. the
-        serve plane's per-process pool); without one an ephemeral pool
-        is created per run when ``workers > 1``.
     metrics:
         A :class:`~repro.obs.MetricsRegistry` to account the run(s)
         into. When omitted, each run uses the ambient registry
@@ -239,9 +222,6 @@ class Interpreter:
         target_functors: Optional[Sequence[str]] = None,
         use_dispatch_index: bool = True,
         use_arena: bool = True,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        executor=None,
         metrics: Optional[MetricsRegistry] = None,
         provenance: Optional[ProvenanceStore] = None,
         program_name: Optional[str] = None,
@@ -258,16 +238,6 @@ class Interpreter:
         self.program_name = program_name
         self.dispatch = self.hierarchy.dispatch_index() if use_dispatch_index else None
         self.use_arena = use_arena
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.executor = executor
-        self.target_functors = (
-            list(target_functors) if target_functors is not None else None
-        )
         # Targeted evaluation (the paper's future work: "querying the
         # target data representation without materializing it"): when
         # target functors are given, only the rules those functors
@@ -304,29 +274,6 @@ class Interpreter:
 
     def run(self, data: Union[DataStore, Sequence[Tree], Tree]) -> ConversionResult:
         store = _as_store(data, self.use_arena)
-        workers = self.workers
-        if workers is None and self.executor is not None:
-            # A shared pool is an explicit opt-in: use its worker count.
-            workers = self.executor.workers
-        if workers is not None:
-            from ..parallel import run_sharded  # cycle: parallel runs interpreters
-
-            return run_sharded(
-                self.shard_spec(),
-                store,
-                workers=workers,
-                chunk_size=self.chunk_size,
-                executor=self.executor,
-                strict_refs=self.strict_refs,
-                metrics=self.metrics,
-                provenance=self.provenance,
-            )
-        return self.run_local(store)
-
-    def run_local(self, data: Union[DataStore, Sequence[Tree], Tree]) -> ConversionResult:
-        """One plain single-process pass (no sharding) — the execution
-        primitive :mod:`repro.parallel` runs once per chunk."""
-        store = _as_store(data, self.use_arena)
         state = _RunState(self, store)
         with span("yatl.run", rules=len(self.rules), inputs=state.n_inputs):
             state.metrics.counter(M_BATCHES).inc(1)
@@ -334,24 +281,6 @@ class Interpreter:
             state.apply_fallbacks()
             state.demand_loop()
             return state.finish()
-
-    def shard_spec(self):
-        """The picklable description :mod:`repro.parallel` ships to
-        worker processes to rebuild this interpreter per shard."""
-        from ..parallel import ShardSpec
-
-        return ShardSpec(
-            rules=self.rules,
-            registry=self.registry,
-            model=self.model,
-            hierarchy=self.hierarchy,
-            runtime_typing=self.runtime_typing,
-            max_demand_iterations=self.max_demand_iterations,
-            target_functors=self.target_functors,
-            use_dispatch_index=self.dispatch is not None,
-            use_arena=self.use_arena,
-            program_name=self.program_name,
-        )
 
     # ------------------------------------------------------------------
     # Phases 1-3 for one rule

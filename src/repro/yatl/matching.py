@@ -22,11 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.instantiation import InstantiationContext, is_instance
 from ..core.patterns import (
-    GROUP,
     INDEX,
     ONE,
-    ORDER,
-    STAR,
     NameTerm,
     PChild,
     PNameLeaf,

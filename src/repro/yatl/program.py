@@ -10,10 +10,10 @@ instantiation (Section 4.1), combination (Section 4.2) and composition
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..core.models import Model
-from ..core.patterns import PChild, Pattern
+from ..core.patterns import Pattern
 from ..core.trees import DataStore, Tree
 from ..errors import EvaluationError
 from .ast import Rule
@@ -131,9 +131,6 @@ class Program:
         target_functors: Optional[Sequence[str]] = None,
         use_dispatch_index: bool = True,
         use_arena: bool = True,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        executor=None,
         provenance=None,
     ) -> ConversionResult:
         """Convert *data*, returning the output store.
@@ -151,10 +148,6 @@ class Program:
         :class:`~repro.core.arena.ArenaStore` inputs on the columnar
         batch path; disable it (the ``--no-arena`` ablation) to
         materialize the arena up front and run the tree path.
-        ``workers``/``chunk_size``/``executor`` evaluate the top-level
-        forest with the multi-process executor of :mod:`repro.parallel`
-        (``workers=N`` output is byte-identical to ``workers=1``; see
-        :class:`Interpreter` and docs/PERFORMANCE.md).
         ``provenance`` installs a :class:`~repro.obs.ProvenanceStore`
         recording per-firing lineage (defaults to the ambient store
         from :func:`repro.obs.tracing`, if one is installed).
@@ -171,9 +164,6 @@ class Program:
             target_functors=target_functors,
             use_dispatch_index=use_dispatch_index,
             use_arena=use_arena,
-            workers=workers,
-            chunk_size=chunk_size,
-            executor=executor,
             provenance=provenance,
             program_name=self.name,
         )
@@ -185,8 +175,7 @@ class Program:
         **options,
     ) -> ConversionResult:
         """Alias of :meth:`run` — the evaluation entry point's name in
-        the paper's terminology (``Program.evaluate(workers=N)`` is the
-        parallel executor's documented surface)."""
+        the paper's terminology."""
         return self.run(data, **options)
 
     def query(

@@ -72,17 +72,6 @@ class SkolemTable:
     def ids(self) -> List[str]:
         return list(self._keys)
 
-    def allocation_log(self) -> List[Tuple[str, str, Tuple[SkolemValue, ...]]]:
-        """Every allocation as ``(identifier, functor, args)``, in
-        allocation order. Replaying the log through a fresh table's
-        :meth:`id_for` reproduces the numbering exactly — the shard
-        merge of :mod:`repro.parallel` reconciles worker-local tables
-        into one canonical table this way."""
-        return [
-            (identifier, functor, args)
-            for identifier, (functor, args) in self._keys.items()
-        ]
-
     def term_text(self, identifier: str) -> str:
         """The Skolem term behind an identifier, rendered compactly
         (``Psup('VW center')``) — what provenance records carry. Tree

@@ -1,14 +1,12 @@
-"""Columnar arena: lossless round trips, interning, sharding, and the
-wrappers' zero-copy import paths (PR 10 property tests)."""
+"""Columnar arena: lossless round trips, interning, and the wrappers'
+zero-copy import paths (PR 10 property tests)."""
 
-import pickle
 import random
 
 import pytest
 
 from repro.core.arena import (
     Arena,
-    ArenaShard,
     ArenaStore,
     InternTable,
     K_BOOL,
@@ -190,41 +188,6 @@ class TestArenaStore:
         store.add("d1", Tree(Symbol("a")))
         with pytest.raises(Exception):
             store.add("d1", Tree(Symbol("b")))
-
-
-class TestArenaShard:
-    def test_slice_to_store_preserves_trees(self):
-        rng = random.Random(30)
-        forest = random_forest(rng, 24)
-        store = ArenaStore()
-        for index, node in enumerate(forest):
-            store.add(f"d{index}", node)
-        shard = ArenaShard.slice(store, 8, 16)
-        rebuilt = shard.to_store()
-        assert rebuilt.names() == [f"d{i}" for i in range(8, 16)]
-        assert rebuilt.trees() == forest[8:16]
-
-    def test_shard_pickles_and_rebuilds(self):
-        rng = random.Random(31)
-        forest = random_forest(rng, 12)
-        store = ArenaStore()
-        for index, node in enumerate(forest):
-            store.add(f"d{index}", node)
-        shard = pickle.loads(pickle.dumps(ArenaShard.slice(store, 0, 12)))
-        # Re-interning into a fresh table must still decode identically.
-        assert shard.to_store(InternTable()).trees() == forest
-
-    def test_shards_cover_the_store(self):
-        rng = random.Random(32)
-        forest = random_forest(rng, 10)
-        store = ArenaStore()
-        for index, node in enumerate(forest):
-            store.add(f"d{index}", node)
-        pieces = [
-            ArenaShard.slice(store, lo, min(lo + 3, 10)).to_store().trees()
-            for lo in range(0, 10, 3)
-        ]
-        assert [t for piece in pieces for t in piece] == forest
 
 
 class TestWrapperZeroCopy:

@@ -1,5 +1,7 @@
 """Ground trees, references and data stores."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -123,6 +125,17 @@ class TestRef:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             Ref("x").target = "y"
+
+
+class TestPickling:
+    def test_tree_and_ref_roundtrip(self):
+        node = tree(
+            "brochure", tree("title", "Golf"), Ref("s1"),
+            Tree(5, (Tree("x"),)),
+        )
+        clone = pickle.loads(pickle.dumps(node))
+        assert clone == node
+        assert isinstance(clone.children[1], Ref)
 
 
 class TestDataStore:

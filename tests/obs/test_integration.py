@@ -123,9 +123,7 @@ class TestSpansIntegration:
             brochures_program.run(brochure_store)
         [run] = recorder.find("yatl.run")
         rules = recorder.find("yatl.rule")
-        # The single-pass run is one yatl.run span over the rule spans
-        # (the old per-batch span became the sharded executor's
-        # parallel.run/shard topology — see tests/yatl/test_parallel.py).
+        # One run is one yatl.run span over the rule spans.
         assert rules and all(r.parent_id == run.span_id for r in rules)
         assert {r.args["rule"] for r in rules} == {"Rule1", "Rule2"}
         phase_names = {s.name for s in recorder.spans()}

@@ -11,7 +11,6 @@ from repro.obs import (
     MetricsRegistry,
     ambient_registry,
     collecting,
-    merge_snapshot,
     record,
     record_gauge,
 )
@@ -334,127 +333,3 @@ class TestAmbientIsolation:
 
         asyncio.run(install_and_exit())
         assert ambient_registry() is None
-
-
-class TestHistogramAbsorb:
-    """Folding snapshot-format series back into a live histogram — the
-    transport between per-worker registries and the run registry."""
-
-    def _snapshot_series(self, histogram, **labels):
-        stats = histogram.stats(**labels)
-        return (
-            {("+Inf" if b == math.inf else repr(float(b))): c
-             for b, c in stats["buckets"].items()},
-            stats["sum"],
-            stats["count"],
-        )
-
-    def test_absorb_accumulates_into_existing_series(self):
-        source = MetricsRegistry().histogram("h", buckets=[1, 10])
-        source.observe(0.5)
-        source.observe(5.0)
-        target = MetricsRegistry().histogram("h", buckets=[1, 10])
-        target.observe(0.2)
-        buckets, total, count = self._snapshot_series(source)
-        target.absorb(buckets, total, count)
-        stats = target.stats()
-        assert stats["count"] == 3
-        assert stats["sum"] == pytest.approx(5.7)
-        assert stats["buckets"][1] == 2  # 0.5 + 0.2
-
-    def test_absorb_label_order_collides_into_one_series(self):
-        # _label_key sorts label items, so {a,b} and {b,a} are the SAME
-        # series; absorbing under either spelling must accumulate, not
-        # fork a duplicate.
-        target = MetricsRegistry().histogram("h", buckets=[1])
-        target.absorb({"1.0": 1.0, "+Inf": 1.0}, 3.0, 2.0,
-                      program="p", rule="r")
-        target.absorb({"1.0": 1.0, "+Inf": 1.0}, 3.0, 2.0,
-                      rule="r", program="p")
-        assert len(target.label_keys()) == 1
-        assert target.stats(rule="r", program="p")["count"] == 4
-
-    def test_absorb_stringified_label_values_collide(self):
-        # Label values stringify in the key: 1 and "1" are one series.
-        target = MetricsRegistry().histogram("h", buckets=[1])
-        target.absorb({"1.0": 1.0, "+Inf": 1.0}, 1.0, 1.0, shard=1)
-        target.absorb({"1.0": 1.0, "+Inf": 1.0}, 1.0, 1.0, shard="1")
-        assert len(target.label_keys()) == 1
-        assert target.stats(shard="1")["count"] == 2
-
-    def test_absorb_rejects_different_bucket_bounds(self):
-        target = MetricsRegistry().histogram("h", buckets=[1, 10])
-        with pytest.raises(ValueError, match="different bucket bounds"):
-            target.absorb({"1.0": 1.0, "5.0": 2.0, "+Inf": 2.0}, 4.0, 2.0)
-
-    def test_absorb_rejects_subset_of_bounds(self):
-        target = MetricsRegistry().histogram("h", buckets=[1, 10])
-        with pytest.raises(ValueError, match="different bucket bounds"):
-            target.absorb({"1.0": 1.0, "+Inf": 1.0}, 1.0, 1.0)
-
-    def test_absorbed_series_feeds_percentiles(self):
-        source = MetricsRegistry().histogram("h", buckets=[1, 10, 100])
-        for value in (2, 3, 4, 50):
-            source.observe(value)
-        target = MetricsRegistry().histogram("h", buckets=[1, 10, 100])
-        buckets, total, count = self._snapshot_series(source)
-        target.absorb(buckets, total, count)
-        assert 1 < target.percentile(0.5) <= 10
-
-    def test_absorb_carries_nonfinite_quarantine(self):
-        target = MetricsRegistry().histogram("h", buckets=[1])
-        target.absorb({"1.0": 1.0, "+Inf": 1.0}, 1.0, 1.0, 3)
-        assert target.stats()["nonfinite"] == 3
-
-
-class TestMergeSnapshot:
-    def test_counters_add_and_gauges_overwrite(self):
-        source = MetricsRegistry()
-        source.counter("c").inc(5, program="p")
-        source.gauge("g").set(7)
-        target = MetricsRegistry()
-        target.counter("c").inc(2, program="p")
-        target.gauge("g").set(1)
-        merge_snapshot(target, source.snapshot())
-        assert target.counter("c").value(program="p") == 7
-        assert target.gauge("g").value() == 7  # last writer wins
-
-    def test_histogram_series_merge_per_label_key(self):
-        shard_a = MetricsRegistry()
-        shard_a.histogram("lat", buckets=[1, 10]).observe(0.5, program="p")
-        shard_b = MetricsRegistry()
-        shard_b.histogram("lat", buckets=[1, 10]).observe(5.0, program="p")
-        shard_b.histogram("lat", buckets=[1, 10]).observe(0.1, program="q")
-        target = MetricsRegistry()
-        merge_snapshot(target, shard_a.snapshot())
-        merge_snapshot(target, shard_b.snapshot())
-        merged = target.histogram("lat", buckets=[1, 10])
-        assert merged.stats(program="p")["count"] == 2
-        assert merged.stats(program="p")["sum"] == pytest.approx(5.5)
-        assert merged.stats(program="q")["count"] == 1
-
-    def test_mixed_bucket_merge_raises(self):
-        # Two workers built the "same" histogram with different bucket
-        # layouts: merging the second must fail loudly, not corrupt the
-        # first series.
-        shard_a = MetricsRegistry()
-        shard_a.histogram("lat", buckets=[1, 10]).observe(0.5)
-        shard_b = MetricsRegistry()
-        shard_b.histogram("lat", buckets=[1, 5, 10]).observe(0.5)
-        target = MetricsRegistry()
-        merge_snapshot(target, shard_a.snapshot())
-        with pytest.raises(ValueError, match="different bucket bounds"):
-            merge_snapshot(target, shard_b.snapshot())
-        # The series absorbed before the failure is intact.
-        assert target.histogram("lat", buckets=[1, 10]).stats()["count"] == 1
-
-    def test_merge_same_snapshot_twice_doubles(self):
-        source = MetricsRegistry()
-        source.histogram("lat", buckets=[1]).observe(0.5, shard=0)
-        snapshot = source.snapshot()
-        target = MetricsRegistry()
-        merge_snapshot(target, snapshot)
-        merge_snapshot(target, snapshot)
-        assert target.histogram("lat", buckets=[1]).stats(
-            shard=0
-        )["count"] == 2

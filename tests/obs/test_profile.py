@@ -171,18 +171,6 @@ class TestProfile:
         # MATCH gets self time only where it was the leaf.
         assert leaders[1]["self_seconds"] == pytest.approx(0.02)
 
-    def test_merge_sums_stacks_and_maxes_duration(self):
-        left = Profile()
-        left.add_stack((MAIN, MATCH), seconds=0.02, count=2)
-        left.duration_s = 1.0
-        right = Profile()
-        right.add_stack((MAIN, MATCH), seconds=0.01, count=1)
-        right.add_stack((MAIN, SKOLEM), seconds=0.01, count=1)
-        right.duration_s = 0.4  # shards run concurrently: max, not sum
-        left.merge(right)
-        assert left.sample_count == 4
-        assert left.duration_s == 1.0
-
     def test_collapsed_format(self):
         profile = Profile()
         profile.add_stack((MAIN, MATCH), seconds=0.02, count=2)
@@ -215,22 +203,6 @@ class TestProfile:
         profile.add_stack((MAIN,), seconds=0.0, count=5)
         doc = profile.speedscope()
         assert doc["profiles"][0]["weights"][0] == pytest.approx(0.5)
-
-    def test_json_roundtrip(self):
-        profile = Profile(hz=50.0)
-        profile.add_stack((MAIN, MATCH), seconds=0.02, count=2)
-        profile.duration_s = 0.5
-        clone = Profile.from_json(profile.to_json())
-        assert clone.hz == 50.0
-        assert clone.duration_s == 0.5
-        assert clone.stacks() == profile.stacks()
-
-    def test_merge_json(self):
-        profile = Profile()
-        shard = Profile()
-        shard.add_stack((MAIN, MATCH), seconds=0.01, count=1)
-        profile.merge_json(shard.to_json())
-        assert profile.sample_count == 1
 
 
 class TestCaptureStack:
@@ -304,15 +276,6 @@ class TestSamplingProfiler:
             for key, _count, _s in profiler.profile.stacks()
         }
         assert any("spin" in label or "wait" in label for label in labels)
-
-    def test_samples_this_process(self):
-        profiler = SamplingProfiler()
-        assert not profiler.samples_this_process()  # never started
-        profiler.start()
-        try:
-            assert profiler.samples_this_process()
-        finally:
-            profiler.stop()
 
 
 class TestAmbientProfiling:

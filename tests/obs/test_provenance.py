@@ -180,18 +180,6 @@ class TestAliasAndMerge:
         ]
         assert store.leaves("c1") == {"d1"}
 
-    def test_merge_renumbers_and_reindexes(self):
-        a = ProvenanceStore()
-        a.record_firing("c1", "Rule1", inputs=["d1"])
-        b = ProvenanceStore()
-        b.record_firing("h1", "Rule2", inputs=["c1"])
-        b.stamp_input("d1", "sgml")
-        a.merge(b)
-        assert a.firings == 2
-        assert {r.seq for r in a.records()} == {1, 2}
-        assert [r.output for r in a.backward("h1")] == ["h1", "c1"]
-        assert a.source_of("d1") == "sgml"
-
 
 class TestExports:
     def test_to_json_shape(self):

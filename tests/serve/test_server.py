@@ -15,6 +15,7 @@ import pytest
 
 from repro.serve import MediatorServer
 from repro.serve.server import _Handler
+from repro.sgml.parser import MAX_DEPTH
 from repro.system import YatSystem
 from repro.workloads import brochure_sgml
 
@@ -235,41 +236,24 @@ class TestStatsEndpoint:
         assert "serve.requests" in stats["metrics"]
 
 
-class TestServePool:
-    def test_rejects_invalid_worker_count(self):
-        with pytest.raises(ValueError, match="workers"):
-            MediatorServer(port=0, warm=False, workers=0)
+def nested_sgml(depth):
+    return "<a>" * depth + "x" + "</a>" * depth
 
-    def test_pool_requests_are_accounted(self, payload):
-        instance = MediatorServer(
-            port=0, warm=False, allow_test_delay=True, workers=2
-        )
-        instance.warm_now()
-        instance.start()
-        try:
-            status, body, _ = post_convert(instance, payload)
-            assert status == 200
-            # A 3-document payload fits one chunk: the run takes the
-            # in-process fallback but is still accounted to the pool.
-            assert body["shards"] == 1
-            registry = instance.registry
-            assert registry.value("serve.pool.workers") == 2
-            assert registry.value(
-                "serve.pool.requests", program=PROGRAM, mode="inprocess"
-            ) == 1
-            assert registry.counter("serve.pool.shards").total() == 1
-            _, stats = get_json(instance, "/stats")
-            pool = stats["server"]["pool"]
-            assert pool["workers"] == 2
-        finally:
-            instance.stop()
 
-    def test_pool_disabled_reports_zero_workers(self, server, payload):
-        post_convert(server, payload)
-        _, stats = get_json(server, "/stats")
-        assert stats["server"]["pool"] == {
-            "workers": 0, "tasks_submitted": 0
-        }
+class TestNestingBound:
+    """The SGML parser bounds element nesting, so a deep body is a 400
+    with the parser's message, not a RecursionError answered 500."""
+
+    def test_body_nested_at_the_bound_converts(self, server, payload):
+        body = payload + "\n" + nested_sgml(MAX_DEPTH)
+        status, result = server.convert(PROGRAM, body, include_output=True)
+        assert status == 200
+        assert result["unconverted"] == 1 and result["output"]
+
+    def test_deeply_nested_body_is_a_400(self, server):
+        status, result = server.convert(PROGRAM, nested_sgml(1200))
+        assert status == 400
+        assert f"deeper than {MAX_DEPTH}" in result["error"]
 
 
 class TestTraceEndpoint:

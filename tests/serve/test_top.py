@@ -131,14 +131,13 @@ class TestRender:
         frame = render(stats, "http://x:1")
         # No *runtime* fast-path line; the config header still names
         # the knobs, all off.
-        assert "config: workers off   cache off   queue off" in frame
+        assert "config: cache off   queue off" in frame
         assert "cache 0/" not in frame and "queue 0/" not in frame
 
     def test_config_line_shows_enabled_knobs(self):
         stats = {
             "server": {
                 "requests_total": 0,
-                "pool": {"workers": 4},
                 "cache": {"capacity": 128},
                 "admission": {"max_queue_depth": 16},
                 "history": {"interval_s": 5.0},
@@ -146,8 +145,7 @@ class TestRender:
             "programs": {}, "requests": [],
         }
         frame = render(stats, "http://x:1")
-        assert ("config: workers 4   cache 128   queue 16   "
-                "history 5s") in frame
+        assert "config: cache 128   queue 16   history 5s" in frame
 
 
 def _history(samples):

@@ -24,6 +24,7 @@ from repro.sgml import (
     validate,
     write_sgml,
 )
+from repro.sgml.parser import MAX_DEPTH
 
 
 class TestDtdParsing:
@@ -121,6 +122,12 @@ class TestSgmlParsing:
     def test_parse_many_empty_rejected(self):
         with pytest.raises(WrapperError):
             parse_sgml_many("   ")
+
+    def test_nesting_past_the_bound_rejected(self):
+        depth = MAX_DEPTH + 1
+        text = "<a>" * depth + "x" + "</a>" * depth
+        with pytest.raises(WrapperError, match=f"deeper than {MAX_DEPTH}"):
+            parse_sgml_many(text)
 
 
 class TestValidation:

@@ -242,40 +242,19 @@ class TestEquivalence:
         assert arena == baseline
 
 
-class TestSharding:
-    def test_sharded_arena_equals_sharded_trees(self):
-        kinds = document_kind_names(4)
-        program = dealer_document_program(kinds)
-        store = dealer_document_store(8, 40, kinds)
-        tree_run = dump(
-            program.run(store, use_arena=False, workers=1, chunk_size=12)
-        )
-        arena_run = dump(
-            program.run(
-                ArenaStore.from_data_store(store), workers=1, chunk_size=12
-            )
-        )
-        assert arena_run == tree_run
-
-    def test_sharded_arena_decodes_only_unconverted_roots(self):
-        # The merge names the unconverted roots; it must not decode the
-        # rest of the parent's (zero-copy, nothing cached) arena.
+class TestLazyDecoding:
+    def test_compiled_rules_never_decode_their_roots(self):
+        # On a zero-copy arena (nothing cached) the only roots decoded
+        # are the 8 brochures, whose rules fall back to the tree
+        # matcher, and the stray root, reported unconverted.
         kinds = document_kind_names(4)
         program = dealer_document_program(kinds)
         trees = dealer_document_store(8, 40, kinds).trees()
         stray = tree("unmatched", atom(1))
         store = ArenaStore(Arena.from_trees(trees + [stray]))
-        result = program.run(store, workers=1, chunk_size=12)
+        result = program.run(store)
         assert result.unconverted == [stray]
-        assert store.materialized_indices() == [len(trees)]
-
-    def test_shard_spec_carries_use_arena(self):
-        from repro.yatl.interpreter import Interpreter
-
-        program = dealer_document_program(document_kind_names(2))
-        spec = Interpreter(program.rules, use_arena=False).shard_spec()
-        assert spec.use_arena is False
-        assert spec.build_interpreter().use_arena is False
+        assert store.materialized_indices() == [*range(8), len(trees)]
 
 
 class TestMetricsParity:
