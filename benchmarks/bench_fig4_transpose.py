@@ -9,7 +9,7 @@ but must scale in O(cells · log) and stay an involution.
 import numpy
 import pytest
 
-from repro.core import Tree, atom, tree
+from repro.core import atom, tree
 from repro.library import matrix_transpose_program
 from repro.workloads import sales_matrix
 

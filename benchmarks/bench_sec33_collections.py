@@ -8,7 +8,7 @@ rule variants that only differ in the edge kind.
 
 import pytest
 
-from repro.core.trees import Tree, atom, tree
+from repro.core.trees import Tree, tree
 from repro.yatl.parser import parse_program
 
 EDGES = {"star": "*->", "group": "{}->", "order": "[V]->"}

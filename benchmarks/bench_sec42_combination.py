@@ -17,7 +17,6 @@ from repro.wrappers import OdmgImportWrapper
 from repro.workloads import car_object_store
 from repro.yatl.hierarchy import Hierarchy
 from repro.yatl.parser import parse_rule
-from repro.yatl.program import Program
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from repro import YatSystem
 from repro.core.models import car_schema_model
 from repro.core.patterns import PNode
 from repro.workloads import car_object_store
-from repro.yatl.ast import BodyPattern, HeadPattern, Rule
+from repro.yatl.ast import HeadPattern, Rule
 from repro.yatl.program import Program
 
 

@@ -340,13 +340,6 @@ class Arena:
         """Decode every root, in encoding order."""
         return [self.decode(offset) for offset in self.roots]
 
-    def nbytes(self) -> int:
-        """Approximate payload size of the columns, in bytes."""
-        return (
-            len(self.labels) * self.labels.itemsize * 5  # four q columns + roots amortized
-            + len(self.kinds)
-        )
-
 
 class ArenaStore:
     """A named, DataStore-compatible read view over an :class:`Arena`.
@@ -439,9 +432,6 @@ class ArenaStore:
         """The root index of a tree object materialized by this store
         (None for foreign objects)."""
         return self._by_id.get(id(node))
-
-    def name_at(self, index: int) -> str:
-        return self._names[index]
 
     def materialized_indices(self) -> List[int]:
         return list(self._cache)

@@ -68,7 +68,6 @@ from .metrics import (
 from .spans import (
     Span,
     SpanRecorder,
-    ambient_recorder,
     current_span_id,
     current_trace_id,
     recording,
@@ -143,7 +142,6 @@ __all__ = [
     "record_gauge",
     "Span",
     "SpanRecorder",
-    "ambient_recorder",
     "current_span_id",
     "current_trace_id",
     "recording",

@@ -79,7 +79,7 @@ _FILE_PHASES: Dict[str, str] = {
 #: file spans every phase: the driver methods map onto the phase they
 #: orchestrate (same names the span tree uses).
 _INTERPRETER_FUNCS: Dict[str, str] = {
-    "rule_bindings": "match",
+    "_bindings": "match",
     "_evaluate_calls": "match",
     "_apply_predicates": "match",
     "_roots_at": "match",
@@ -87,6 +87,7 @@ _INTERPRETER_FUNCS: Dict[str, str] = {
     "_unshadowed_rows": "match",
     "_apply_rule_with_shadowing": "match",
     "_construct_outputs": "construct",
+    "_skolem_groups": "construct",
     "_on_skolem": "skolem",
     "demand_loop": "demand",
     "_demand": "demand",
@@ -94,17 +95,17 @@ _INTERPRETER_FUNCS: Dict[str, str] = {
     "splice": "splice",
 }
 
-#: Function-level overrides for ``yatl/arena_exec.py``: the batch
-#: engine's matching and head construction count as ``match`` /
-#: ``construct`` (they do the same pipeline work as the tree path);
-#: everything else in the file — rule compilation and the compiled-rule
-#: cache — is ``arena`` time, the columnar representation's own
-#: overhead. tests/obs/test_profile.py checks both function catalogs
-#: against the ``def``s of their files.
+#: Function-level overrides for ``yatl/arena_exec.py``: a compiled
+#: rule's row scan, Skolem grouping and head builders count as
+#: ``match`` / ``construct`` (they do the same pipeline work as the
+#: tree path); everything else in the file — rule compilation — is
+#: ``arena`` time, the columnar representation's own overhead.
+#: tests/obs/test_profile.py checks both function catalogs against the
+#: ``def``s of their files.
 _ARENA_EXEC_FUNCS: Dict[str, str] = {
     "match_block": "match",
-    "_match_candidates": "match",
-    "_construct_groups": "construct",
+    "scan": "match",
+    "skolem_groups": "construct",
     "build_leaf": "construct",
     "build_var": "construct",
     "build_wrap": "construct",
@@ -214,10 +215,7 @@ class Profile:
         seconds: float = 0.0,
         count: int = 1,
     ) -> None:
-        key = tuple(
-            (str(name), str(filename), int(line))
-            for name, filename, line in stack
-        )
+        key = tuple(stack)
         if not key:
             return
         with self._lock:

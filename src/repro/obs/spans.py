@@ -222,12 +222,6 @@ def spans_active() -> bool:
     return _RECORDER.get() is not None
 
 
-def ambient_recorder() -> Optional[SpanRecorder]:
-    """The recorder installed by the nearest :func:`recording`, if any
-    (mirrors :func:`repro.obs.ambient_registry`)."""
-    return _RECORDER.get()
-
-
 def current_span_id() -> Optional[int]:
     """The id of the innermost open span, or None when not recording —
     the join key provenance records carry back into the span tree."""

@@ -1,33 +1,35 @@
 """Batch rule evaluation over the columnar arena.
 
-The tree path evaluates one ``(rule, subject)`` pair at a time,
-pointer-chasing :class:`~repro.core.trees.Tree` objects.  This module is
-its columnar counterpart for :class:`~repro.core.arena.ArenaStore`
-inputs: a rule receives the candidate *root indices* its dispatch
-signature admits (:class:`~repro.yatl.dispatch.RootView`, shared with
-the tree path), root-pattern matching runs as flat comparisons over the
+The tree path matches rules against :class:`~repro.core.trees.Tree`
+objects, pointer-chasing one subject at a time. This module is its
+columnar counterpart for :class:`~repro.core.arena.ArenaStore` inputs:
+a rule receives the candidate *root indices* its dispatch signature
+admits (:class:`~repro.yatl.dispatch.RootView`, shared with the tree
+path), root-pattern matching runs as flat comparisons over the
 ``labels``/``n_children`` columns, and head construction replays the
 grouping semantics of :mod:`repro.yatl.construction` over plain value
-tuples.  Rules the compiler cannot express as a flat op program fall
-back to the existing matcher over materialized candidates (and only
+tuples. Rules the compiler cannot express as a flat op program fall
+back to the general matcher over materialized candidates (and only
 those candidates are ever decoded into trees).
 
-Everything here is replicated from the tree path *exactly* — candidate
-order, binding deduplication (Python ``==``, so ``1``/``True``/``1.0``
-conflate), Skolem grouping, provenance and the per-rule metrics — and
-hierarchy shadowing goes through the run state's root ledger, shared
-with the tree path, so a run over an :class:`ArenaStore` stays
-byte-identical to the same run over the equivalent
+A compiled rule supplies only its columnar work: rows
+(:meth:`FastRule.scan`, in candidate order, deduplicated with Python
+``==`` so ``1``/``True``/``1.0`` conflate as in binding dedup), Skolem
+groups (:meth:`FastRule.skolem_groups`) and a head builder. The run
+state in :mod:`repro.yatl.interpreter` calls them from the same phase
+shell and construction loop as the tree path and does all of the
+accounting — spans, per-rule metrics, provenance, hierarchy shadowing
+through the root ledger — so a run over an :class:`ArenaStore` stays
+byte-identical, record included, to the same run over the equivalent
 :class:`~repro.core.trees.DataStore`.
 """
 
 from __future__ import annotations
 
-import time
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.arena import K_REF, ArenaStore, label_alias_ids
+from ..core.arena import K_REF, label_alias_ids
 from ..core.labels import label_sort_key
 from ..core.patterns import (
     GROUP,
@@ -40,8 +42,6 @@ from ..core.patterns import (
 from ..core.trees import Tree
 from ..core.variables import AnyDomain, AtomTypeDomain, PatternVar, UnionDomain, Var
 from ..errors import NonDeterminismError
-from ..obs import span
-from ..obs.metrics import TIME_BUCKETS
 from .ast import Rule
 
 _MISSING = object()
@@ -58,23 +58,10 @@ OP_VAR = 2  # (OP_VAR, rel, slot, domain): leaf label binds a variable
 class FastRule:
     """One rule compiled to a flat op program plus a head builder."""
 
-    __slots__ = (
-        "rule",
-        "name",
-        "ops",
-        "size",
-        "n_slots",
-        "head_term",
-        "functor",
-        "skolem_args",
-        "build",
-    )
+    __slots__ = ("ops", "n_slots", "head_term", "functor", "skolem_args", "build")
 
-    def __init__(self, rule, ops, size, n_slots, skolem_parts, build):
-        self.rule = rule
-        self.name = rule.name
+    def __init__(self, rule, ops, n_slots, skolem_parts, build):
         self.ops = ops
-        self.size = size
         self.n_slots = n_slots
         self.head_term = rule.head.term
         self.functor = rule.head.term.functor
@@ -120,6 +107,65 @@ class FastRule:
             return ()
         return tuple(values)
 
+    def scan(
+        self, arena, candidates: Sequence[int], converted: Set[int]
+    ) -> List[Tuple[int, tuple]]:
+        """Phase 1 over the candidate root indices: the op program run
+        on each root, deduplicated, as ``(root index, slot tuple)`` rows
+        in candidate order. A root dropped as a duplicate is added to
+        *converted*."""
+        labels = arena.labels
+        kinds = arena.kinds
+        n_children = arena.n_children
+        roots = arena.roots
+        values_by_id = arena.intern.raw_values()
+        match = self.match_block
+        rows: List[Tuple[int, tuple]] = []
+        seen: Set[tuple] = set()
+        for index in candidates:
+            values = match(labels, kinds, n_children, values_by_id, roots[index])
+            if values is None:
+                continue
+            # The slot tuple IS the dedup key: a fast rule pins every
+            # fixed position up to Python ``==`` (exact id or alias set,
+            # arities exact), so two admitted subjects are ``==`` iff
+            # their slot tuples are — which is exactly the tree path's
+            # Binding dedup, where the subject tree itself is bound to
+            # the root pattern name and compared by value. A twin
+            # dropped here is converted all the same: the root it
+            # collapses into ends up converted, by this rule or by the
+            # more specific rule that shadows it. No twin of an admitted
+            # root fails the match either: that takes a numeric-typed
+            # slot (`_types_numbers`).
+            if values in seen:
+                converted.add(index)
+                continue
+            seen.add(values)
+            rows.append((index, values))
+        return rows
+
+    def skolem_groups(
+        self, rows: List[Tuple[int, tuple]], id_for, on_skolem
+    ) -> Dict[str, Tuple[List[tuple], List[int]]]:
+        """Phase 4: *rows* grouped by Skolem identifier, in first
+        encounter order, as identifier -> (slot tuples, root indices).
+        ``id_for(functor, args)`` allocates each identifier and
+        ``on_skolem(identifier, term, deref)`` reports it, as
+        :class:`~repro.yatl.construction.Constructor` does."""
+        functor = self.functor
+        term = self.head_term
+        skolem_args = self.skolem_args
+        groups: Dict[str, Tuple[List[tuple], List[int]]] = {}
+        for index, values in rows:
+            identifier = id_for(functor, skolem_args(values))
+            on_skolem(identifier, term, False)
+            group = groups.get(identifier)
+            if group is None:
+                groups[identifier] = group = ([], [])
+            group[0].append(values)
+            group[1].append(index)
+        return groups
+
 
 def _compile_skolem_args(parts):
     """Specialize ``values -> Skolem argument tuple`` for the common
@@ -151,14 +197,14 @@ def _types_numbers(domain) -> bool:
     """Does *domain* test a numeric atom's type? Such a slot tells
     ``1``, ``1.0`` and ``True`` apart although trees holding them are
     ``==``. Every other op matches ``==`` roots alike, which lets
-    ``_match_candidates`` mark the twins its dedup folds as converted."""
+    ``FastRule.scan`` mark the twins its dedup folds as converted."""
     if isinstance(domain, UnionDomain):
         return any(_types_numbers(member) for member in domain.members)
     return isinstance(domain, AtomTypeDomain) and domain.type_name != "string"
 
 
 def _compile_body_tree(tree, intern, slots):
-    """Compile a body pattern tree to ``(ops, size)``, or None when it
+    """Compile a body pattern tree to its op list, or None when it
     needs the general matcher (non-ONE edges, reference or pattern-name
     leaves, pattern variables, variable labels on interior nodes,
     numeric-typed variables)."""
@@ -193,10 +239,9 @@ def _compile_body_tree(tree, intern, slots):
             size += sub
         return size
 
-    size = comp(tree, 0)
-    if size is None:
+    if comp(tree, 0) is None:
         return None
-    return ops, size
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +488,9 @@ def compile_fast_rule(rule: Rule, intern) -> Optional[FastRule]:
     if len(rule.body) != 1:
         return None
     slots: Dict[str, int] = {}
-    compiled = _compile_body_tree(rule.body[0].tree, intern, slots)
-    if compiled is None:
+    ops = _compile_body_tree(rule.body[0].tree, intern, slots)
+    if ops is None:
         return None
-    ops, size = compiled
     if ops[0][0] == OP_VAR:
         return None  # variable root label: no label to dispatch on
     skolem_parts = []
@@ -466,204 +510,4 @@ def compile_fast_rule(rule: Rule, intern) -> Optional[FastRule]:
     build = _compile_head_tree(head.tree, slots, intern)
     if build is None:
         return None
-    return FastRule(rule, ops, size, len(slots), skolem_parts, build)
-
-
-# ---------------------------------------------------------------------------
-# The engine: per-run batch state over one ArenaStore
-# ---------------------------------------------------------------------------
-
-
-class ArenaEngine:
-    """Batch evaluation for one run over an :class:`ArenaStore`: the
-    compiled-rule cache plus column matching and head construction.
-    Per-root state (shadowing, conversion, input names) lives in the run
-    state's root ledger, keyed by root index like the tree path's.
-    """
-
-    def __init__(self, state, store: ArenaStore) -> None:
-        from . import interpreter as _interp  # deferred: interpreter imports us
-
-        self._interp_mod = _interp
-        self.state = state
-        self.store = store
-        self.arena = store.arena
-        self.intern = store.arena.intern
-        self._fast: Dict[str, object] = {}
-
-    def fast_for(self, rule: Rule) -> Optional[FastRule]:
-        entry = self._fast.get(rule.name, _MISSING)
-        if entry is _MISSING:
-            entry = compile_fast_rule(rule, self.intern)
-            self._fast[rule.name] = entry
-        return entry  # type: ignore[return-value]
-
-    # -- fast path ----------------------------------------------------------
-
-    def apply_rule(self, rule: Rule, candidates: Sequence[int]) -> bool:
-        """Run *rule* over the candidate root indices entirely on the
-        arena when compilable; False means the caller must use the tree
-        path. Mirrors ``_apply_rule_with_shadowing`` +
-        ``_construct_outputs`` step for step (spans, metrics, grouping,
-        provenance) and shadows through the same ledger function, so
-        outputs and bookkeeping stay identical."""
-        fast = self.fast_for(rule)
-        if fast is None:
-            return False
-        rows = self._match_candidates(fast, candidates)
-        rows = self.state._unshadowed_rows(rule, rows)
-        if rows:
-            self._construct_groups(fast, rows)
-        return True
-
-    def _match_candidates(
-        self, fast: FastRule, candidates: Sequence[int]
-    ) -> List[Tuple[int, tuple]]:
-        """Phases 1-3 over the candidate offsets: flat matching plus
-        binding deduplication, with the tree path's spans and metrics
-        (a fast rule has no calls or predicates, so those phases only
-        account the pass-through)."""
-        state = self.state
-        metrics = state.metrics
-        rule_name = fast.name
-        arena = self.arena
-        with span("yatl.rule", rule=rule_name, candidates=len(candidates)):
-            started = time.perf_counter()
-            with span("yatl.phase.match", rule=rule_name):
-                labels = arena.labels
-                kinds = arena.kinds
-                n_children = arena.n_children
-                roots = arena.roots
-                values_by_id = self.intern.raw_values()
-                match = fast.match_block
-                converted = state.converted
-                rows: List[Tuple[int, tuple]] = []
-                seen: Set[tuple] = set()
-                for index in candidates:
-                    values = match(labels, kinds, n_children, values_by_id, roots[index])
-                    if values is None:
-                        continue
-                    # The slot tuple IS the dedup key: a fast rule pins
-                    # every fixed position up to Python ``==`` (exact id
-                    # or alias set, arities exact), so two admitted
-                    # subjects are ``==`` iff their slot tuples are —
-                    # which is exactly the tree path's Binding dedup,
-                    # where the subject tree itself is bound to the root
-                    # pattern name and compared by value. A twin dropped
-                    # here is converted all the same: the root it
-                    # collapses into ends up converted, by this rule or
-                    # by the more specific rule that shadows it. No twin
-                    # of an admitted root fails the match either: that
-                    # takes a numeric-typed slot (`_types_numbers`).
-                    if values in seen:
-                        converted.add(index)
-                        continue
-                    seen.add(values)
-                    rows.append((index, values))
-            metrics.counter(self._interp_mod.M_RULE_APPLICATIONS).inc(rule=rule_name)
-            metrics.counter(self._interp_mod.M_RULE_MATCHED).inc(
-                len(rows), rule=rule_name
-            )
-            if not rows:
-                metrics.histogram(
-                    self._interp_mod.M_RULE_SECONDS, buckets=TIME_BUCKETS
-                ).observe(time.perf_counter() - started, rule=rule_name)
-                return rows
-            with span("yatl.phase.call", rule=rule_name):
-                pass  # no calls: compile_fast_rule rejects rules with them
-            with span("yatl.phase.predicate", rule=rule_name):
-                pass  # no predicates either
-            metrics.counter(self._interp_mod.M_RULE_AFTER_CALLS).inc(
-                len(rows), rule=rule_name
-            )
-            metrics.counter(self._interp_mod.M_RULE_AFTER_PREDICATES).inc(
-                len(rows), rule=rule_name
-            )
-            metrics.histogram(
-                self._interp_mod.M_RULE_SECONDS, buckets=TIME_BUCKETS
-            ).observe(time.perf_counter() - started, rule=rule_name)
-        return rows
-
-    def _construct_groups(
-        self, fast: FastRule, rows: List[Tuple[int, tuple]]
-    ) -> None:
-        """Phases 4-5: Skolem grouping and head construction, first
-        encounter order, with the tree path's provenance recording."""
-        state = self.state
-        skolems = state.skolems
-        metrics = state.metrics
-        rule_name = fast.name
-        functor = fast.functor
-        groups: Dict[str, Tuple[List[tuple], List[int]]] = {}
-        order: List[str] = []
-        id_for = skolems.id_for
-        skolem_args = fast.skolem_args
-        # ``_on_skolem(identifier, term, deref=False)`` inlined: the
-        # origins update only fires under a non-empty ambient origin
-        # set, which cannot change inside this loop.
-        pending_ref = state.pending_ref
-        active = state._active_origins
-        provenance = state.provenance
-        for index, values in rows:
-            identifier = id_for(functor, skolem_args(values))
-            pending_ref[identifier] = None
-            if active:
-                provenance.setdefault(identifier, set()).update(active)
-            group = groups.get(identifier)
-            if group is None:
-                groups[identifier] = group = ([], [])
-                order.append(identifier)
-            group[0].append(values)
-            group[1].append(index)
-        metrics.counter(self._interp_mod.M_CONSTRUCT_GROUPS).inc(
-            len(order), rule=rule_name
-        )
-        built = 0
-        name_at = self.store.name_at
-        build = fast.build
-        ref_free_ids = state.ref_free_ids
-        associate = skolems.associate
-        pop_ref = pending_ref.pop
-        pop_deref = state.pending_deref.pop
-        prov = state.prov
-        with span("yatl.phase.construct", rule=rule_name, groups=len(order)):
-            for identifier in order:
-                group_rows, group_indices = groups[identifier]
-                if active:
-                    origins = set(active)
-                    for index in group_indices:
-                        origins.add(name_at(index))
-                else:
-                    origins = {name_at(index) for index in group_indices}
-                entry = provenance.get(identifier)
-                if entry is None:
-                    provenance[identifier] = entry = set(origins)
-                else:
-                    entry.update(origins)
-                state._active_origins = entry
-                try:
-                    value = build(group_rows)
-                finally:
-                    state._active_origins = active
-                associate(identifier, value)
-                # Fast heads cannot contain reference leaves (the
-                # compiler falls back on them): finish() may skip the
-                # splice walk for these outputs.
-                ref_free_ids.add(identifier)
-                built += 1
-                pop_ref(identifier, None)
-                pop_deref(identifier, None)
-                if prov is not None:
-                    state.prov_firings += 1
-                    if prov.record_firing(
-                        identifier,
-                        rule_name,
-                        inputs=origins,
-                        program=state.interp.program_name,
-                        skolem=lambda i=identifier: skolems.term_text(i),
-                    ):
-                        state.prov_records += 1
-        if built:
-            metrics.counter(self._interp_mod.M_RULE_OUTPUTS).inc(
-                built, rule=rule_name
-            )
+    return FastRule(rule, ops, len(slots), skolem_parts, build)

@@ -19,9 +19,10 @@ converted by no rule raise, or feed empty-head fallback rules).
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..core.arena import ArenaStore
+from ..core.arena import Arena, ArenaStore
 from ..core.trees import DataStore, Ref, Tree
 from ..errors import (
     CyclicProgramError,
@@ -32,7 +33,7 @@ from ..errors import (
 from ..obs import MetricsRegistry, ambient_registry, span
 from ..obs.metrics import TIME_BUCKETS
 from ..obs.provenance import ProvenanceStore, ambient_provenance
-from .arena_exec import ArenaEngine
+from .arena_exec import FastRule, compile_fast_rule
 from .ast import Expr, FunctionCall, Rule
 from .bindings import Binding, Value
 from .construction import (
@@ -282,94 +283,6 @@ class Interpreter:
             state.demand_loop()
             return state.finish()
 
-    # ------------------------------------------------------------------
-    # Phases 1-3 for one rule
-    # ------------------------------------------------------------------
-
-    def rule_bindings(
-        self,
-        rule: Rule,
-        input_trees: Sequence[Tree],
-        mctx: MatchContext,
-        warnings: List[str],
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> List[Binding]:
-        with span("yatl.rule", rule=rule.name, candidates=len(input_trees)):
-            started = time.perf_counter() if metrics is not None else 0.0
-            with span("yatl.phase.match", rule=rule.name):
-                bindings = match_body(rule, input_trees, mctx)  # phase 1
-            if metrics is not None:
-                metrics.counter(M_RULE_APPLICATIONS).inc(rule=rule.name)
-                metrics.counter(M_RULE_MATCHED).inc(len(bindings), rule=rule.name)
-            if not bindings:
-                if metrics is not None:
-                    metrics.histogram(M_RULE_SECONDS, buckets=TIME_BUCKETS).observe(
-                        time.perf_counter() - started, rule=rule.name
-                    )
-                return []
-            with span("yatl.phase.call", rule=rule.name):
-                bindings = self._evaluate_calls(rule, bindings, warnings)  # phase 2
-            with span("yatl.phase.predicate", rule=rule.name):
-                kept = self._apply_predicates(rule, bindings)  # phase 3
-            if metrics is not None:
-                metrics.counter(M_RULE_AFTER_CALLS).inc(
-                    len(bindings), rule=rule.name
-                )
-                metrics.counter(M_RULE_AFTER_PREDICATES).inc(
-                    len(kept), rule=rule.name
-                )
-                metrics.histogram(M_RULE_SECONDS, buckets=TIME_BUCKETS).observe(
-                    time.perf_counter() - started, rule=rule.name
-                )
-            return kept
-
-    def _evaluate_calls(
-        self, rule: Rule, bindings: List[Binding], warnings: List[str]
-    ) -> List[Binding]:
-        for call in rule.calls:
-            fn = self.registry.get(call.function)
-            surviving: List[Binding] = []
-            for binding in bindings:
-                args = _argument_values(call, binding)
-                if args is None or not fn.accepts(args):
-                    continue  # the paper's type filter
-                try:
-                    result = fn(*args)
-                except UnconvertedDataError:
-                    raise
-                except FunctionError as exc:
-                    warnings.append(
-                        f"rule {rule.name!r}: {call.function} filtered a "
-                        f"binding: {exc}"
-                    )
-                    continue
-                if call.result is None:
-                    if result:
-                        surviving.append(binding)
-                    continue
-                extended = binding.bind(call.result, result)  # type: ignore[arg-type]
-                if extended is not None:
-                    surviving.append(extended)
-            bindings = surviving
-            if not bindings:
-                break
-        return bindings
-
-    def _apply_predicates(self, rule: Rule, bindings: List[Binding]) -> List[Binding]:
-        for predicate in rule.predicates:
-            surviving = []
-            for binding in bindings:
-                left = _expr_value(predicate.left, binding)
-                right = _expr_value(predicate.right, binding)
-                if left is _MISSING or right is _MISSING:
-                    continue
-                if evaluate_comparison(left, predicate.op, right):
-                    surviving.append(binding)
-            bindings = surviving
-            if not bindings:
-                break
-        return bindings
-
 
 # ---------------------------------------------------------------------------
 # Run state
@@ -377,18 +290,21 @@ class Interpreter:
 
 
 class _RunState:
-    """Mutable state of one program run."""
+    """Mutable state of one program run. Every rule application, on
+    trees or arena columns, runs through :meth:`_bindings` (phases 1-3)
+    and :meth:`_construct_outputs` (phases 4-5), which own its spans,
+    metrics and provenance."""
 
     def __init__(self, interpreter: Interpreter, store: DataStore) -> None:
         self.interp = interpreter
         self.input_store = store
         # Arena inputs stay columnar: roots are matched by index and
-        # decoded lazily, so `inputs` stays empty (see ArenaEngine);
-        # everything downstream sizes itself off `n_inputs` and fetches
-        # roots by index via `_roots_at`.
-        self.arena_engine: Optional[ArenaEngine] = None
+        # decoded lazily, so `inputs` stays empty; everything downstream
+        # sizes itself off `n_inputs` and fetches roots by index via
+        # `_roots_at`.
+        self.arena: Optional[Arena] = None
         if isinstance(store, ArenaStore):
-            self.arena_engine = ArenaEngine(self, store)
+            self.arena = store.arena
             self.inputs: List[Tree] = []
         else:
             self.inputs = store.trees()
@@ -408,7 +324,7 @@ class _RunState:
         # the registry once, in finish().
         self.dispatch_stats = DispatchStats()
         self.root_view = RootView(
-            store if self.arena_engine is not None else self.inputs,
+            store if self.arena is not None else self.inputs,
             interpreter.dispatch,
             self.dispatch_stats,
         )
@@ -430,7 +346,7 @@ class _RunState:
         # root tree to its index (None for any other value): an arena
         # store records its roots as it decodes them.
         self.input_names: List[str] = store.names()
-        if self.arena_engine is not None:
+        if self.arena is not None:
             self.index_of_root = store.index_of_tree
         else:
             by_id = {id(node): index for index, node in enumerate(self.inputs)}
@@ -449,7 +365,7 @@ class _RunState:
         self.provenance: Dict[str, Set[str]] = {}
         self._active_origins: Set[str] = set()
         # Identifiers whose associated value is known reference-free
-        # (the arena fast path never builds reference leaves — the
+        # (compiled arena rules never build reference leaves — the
         # compiler rejects them): finish() skips their splice and
         # dangling-reference walks.
         self.ref_free_ids: Set[str] = set()
@@ -478,13 +394,10 @@ class _RunState:
 
     def apply_top_level(self) -> None:
         """Apply every non-fallback rule to the roots the root view
-        offers it, with hierarchy shadowing per root input tree. A
-        compilable rule over an arena runs on the columns
-        (:meth:`ArenaEngine.apply_rule`); every other rule runs the
-        tree path over the materialized roots. Fallback rules run
+        offers it, with hierarchy shadowing per root input tree (see
+        :meth:`_apply_rule_with_shadowing`). Fallback rules run
         afterwards, once, over the leftovers — see
         :meth:`apply_fallbacks`."""
-        engine = self.arena_engine
         needed = self.interp.needed_functors
         for rule in self.order:
             if rule.is_fallback:
@@ -492,10 +405,8 @@ class _RunState:
             if needed is not None and rule.head_functor not in needed:
                 continue  # targeted evaluation: this output is not queried
             indices = self.root_view.select(rule)
-            if not indices:
-                continue
-            if engine is None or not engine.apply_rule(rule, indices):
-                self._apply_rule_with_shadowing(rule, self._roots_at(indices))
+            if indices:
+                self._apply_rule_with_shadowing(rule, indices)
 
     def apply_fallbacks(self) -> None:
         """Fallback (empty-head) rules over the inputs no other rule
@@ -510,10 +421,7 @@ class _RunState:
             indices = self.root_view.select(rule, leftovers)
             if not indices:
                 continue
-            bindings = self.interp.rule_bindings(
-                rule, self._roots_at(indices), self.match_ctx, self.warnings,
-                self.metrics,
-            )
+            bindings = self._bindings(rule, self._roots_at(indices))
             # A fallback match *handles* the input (the paper's Rule
             # Exception): account it as converted.
             self._record_converted(rule, bindings)
@@ -528,7 +436,7 @@ class _RunState:
 
     def _roots_at(self, indices: Sequence[int]) -> List[Tree]:
         """The input trees at *indices* (arena roots decode on first use)."""
-        if self.arena_engine is not None:
+        if self.arena is not None:
             tree_root = self.input_store.tree_root
             return [tree_root(i) for i in indices]
         inputs = self.inputs
@@ -574,93 +482,207 @@ class _RunState:
                 if isinstance(root, Tree):
                     trees.add(root)
 
-    def _apply_rule_with_shadowing(self, rule: Rule, subjects: List[Tree]) -> None:
-        bindings = self.interp.rule_bindings(
-            rule, subjects, self.match_ctx, self.warnings, self.metrics
-        )
-        roots = rule.root_body_patterns()
-        if len(roots) == 1:
-            name = roots[0].name.name
-            index_of_root = self.index_of_root
-            rows = [(index_of_root(b.get(name)), b) for b in bindings]
-            bindings = [b for _, b in self._unshadowed_rows(rule, rows)]
-        if not bindings:
-            return
-        self._record_converted(rule, bindings)
-        self._construct_outputs(rule, bindings)
+    def _apply_rule_with_shadowing(self, rule: Rule, indices: Sequence[int]) -> None:
+        """Apply *rule* to the top-level roots at *indices*, with
+        hierarchy shadowing per root. On an arena a compilable rule
+        scans the columns; any other rule runs the tree matcher over
+        the materialized roots."""
+        fast = None
+        if self.arena is not None:
+            fast = compile_fast_rule(rule, self.arena.intern)
+        if fast is not None:
+            bindings = self._unshadowed_rows(rule, self._bindings(rule, indices, fast))
+        else:
+            bindings = self._bindings(rule, self._roots_at(indices))
+            roots = rule.root_body_patterns()
+            if len(roots) == 1:
+                name = roots[0].name.name
+                index_of_root = self.index_of_root
+                rows = [(index_of_root(b.get(name)), b) for b in bindings]
+                bindings = [b for _, b in self._unshadowed_rows(rule, rows)]
+            self._record_converted(rule, bindings)
+        if bindings:
+            self._construct_outputs(rule, bindings, fast)
+
+    # -- phases 1-3 -------------------------------------------------------------
+
+    def _bindings(
+        self, rule: Rule, candidates: Sequence, fast: Optional[FastRule] = None
+    ) -> list:
+        """Phases 1-3 of one rule application over *candidates*: trees
+        for the general matcher, which yields bindings, or — with a
+        compiled *fast* rule — arena root indices, which yield
+        ``(root index, slot tuple)`` rows. A compiled rule has no calls
+        or predicates (``compile_fast_rule`` rejects them), so its rows
+        pass phases 2 and 3 unchanged."""
+        name = rule.name
+        metrics = self.metrics
+        with span("yatl.rule", rule=name, candidates=len(candidates)):
+            started = time.perf_counter()
+            with span("yatl.phase.match", rule=name):  # phase 1
+                if fast is None:
+                    bindings = match_body(rule, candidates, self.match_ctx)
+                else:
+                    bindings = fast.scan(self.arena, candidates, self.converted)
+            metrics.counter(M_RULE_APPLICATIONS).inc(rule=name)
+            metrics.counter(M_RULE_MATCHED).inc(len(bindings), rule=name)
+            if bindings:
+                with span("yatl.phase.call", rule=name):
+                    bindings = self._evaluate_calls(rule, bindings)  # phase 2
+                after_calls = len(bindings)
+                with span("yatl.phase.predicate", rule=name):
+                    bindings = self._apply_predicates(rule, bindings)  # phase 3
+                metrics.counter(M_RULE_AFTER_CALLS).inc(after_calls, rule=name)
+                metrics.counter(M_RULE_AFTER_PREDICATES).inc(
+                    len(bindings), rule=name
+                )
+            metrics.histogram(M_RULE_SECONDS, buckets=TIME_BUCKETS).observe(
+                time.perf_counter() - started, rule=name
+            )
+        return bindings
+
+    def _evaluate_calls(self, rule: Rule, bindings: List[Binding]) -> List[Binding]:
+        for call in rule.calls:
+            fn = self.interp.registry.get(call.function)
+            surviving: List[Binding] = []
+            for binding in bindings:
+                args = _argument_values(call, binding)
+                if args is None or not fn.accepts(args):
+                    continue  # the paper's type filter
+                try:
+                    result = fn(*args)
+                except UnconvertedDataError:
+                    raise
+                except FunctionError as exc:
+                    self.warnings.append(
+                        f"rule {rule.name!r}: {call.function} filtered a "
+                        f"binding: {exc}"
+                    )
+                    continue
+                if call.result is None:
+                    if result:
+                        surviving.append(binding)
+                    continue
+                extended = binding.bind(call.result, result)  # type: ignore[arg-type]
+                if extended is not None:
+                    surviving.append(extended)
+            bindings = surviving
+            if not bindings:
+                break
+        return bindings
+
+    def _apply_predicates(self, rule: Rule, bindings: List[Binding]) -> List[Binding]:
+        for predicate in rule.predicates:
+            surviving = []
+            for binding in bindings:
+                left = _expr_value(predicate.left, binding)
+                right = _expr_value(predicate.right, binding)
+                if left is _MISSING or right is _MISSING:
+                    continue
+                if evaluate_comparison(left, predicate.op, right):
+                    surviving.append(binding)
+            bindings = surviving
+            if not bindings:
+                break
+        return bindings
 
     # -- phases 4-5 -------------------------------------------------------------
 
-    def _construct_outputs(self, rule: Rule, bindings: List[Binding]) -> None:
-        if rule.head is None:
-            return
-        head = rule.head
-        groups: Dict[str, List[Binding]] = {}
-        order: List[str] = []
-        for binding in bindings:
-            try:
-                identifier = self.constructor.skolem_id(head.term, binding, False)
-            except Unbound:
-                continue  # missing Skolem argument: no output for it
-            if identifier not in groups:
-                groups[identifier] = []
-                order.append(identifier)
-            groups[identifier].append(binding)
-        root_names = [bp.name.name for bp in rule.root_body_patterns()]
+    def _construct_outputs(
+        self, rule: Rule, bindings: list, fast: Optional[FastRule] = None
+    ) -> None:
+        """Phases 4-5 of one rule application: group *bindings* by
+        Skolem identifier, then build each group's output in first
+        encounter order and record where it came from. A compiled
+        *fast* rule groups its rows and builds its heads on its own."""
+        if fast is None:
+            groups = self._skolem_groups(rule, bindings)
+            build = partial(self.constructor.construct, rule.head.tree)
+        else:
+            groups = fast.skolem_groups(bindings, self.skolems.id_for, self._on_skolem)
+            build = fast.build
+        name = rule.name
         metrics = self.metrics
-        metrics.counter(M_CONSTRUCT_GROUPS).inc(len(order), rule=rule.name)
+        metrics.counter(M_CONSTRUCT_GROUPS).inc(len(groups), rule=name)
+        skolems = self.skolems
+        provenance = self.provenance
+        input_names = self.input_names
+        active = self._active_origins
+        prov = self.prov
         built = skipped = 0
-        with span("yatl.phase.construct", rule=rule.name, groups=len(order)):
-            for identifier in order:
-                group = groups[identifier]
-                origins = self._origins_of(group, root_names)
-                self.provenance.setdefault(identifier, set()).update(origins)
-                previous_origins = self._active_origins
-                self._active_origins = self.provenance[identifier]
+        with span("yatl.phase.construct", rule=name, groups=len(groups)):
+            for identifier, (group, indices) in groups.items():
+                # The group's origins: the roots it matched, plus (for
+                # demand-driven applications) the demanding output's.
+                origins = set(active)
+                for index in indices:
+                    origins.add(input_names[index])
+                entry = provenance.get(identifier)
+                if entry is None:
+                    provenance[identifier] = entry = set(origins)
+                else:
+                    entry.update(origins)
+                self._active_origins = entry
                 try:
-                    value = self.constructor.construct(head.tree, group)
+                    value = build(group)
                 except Unbound as unbound:
                     self.warnings.append(
-                        f"rule {rule.name!r}: output {identifier} skipped "
+                        f"rule {name!r}: output {identifier} skipped "
                         f"(unbound {unbound.name})"
                     )
                     skipped += 1
                     continue
                 finally:
-                    self._active_origins = previous_origins
+                    self._active_origins = active
                 if isinstance(value, Ref):
                     self.root_refs[identifier] = value
                 else:
-                    self.skolems.associate(identifier, value)
+                    skolems.associate(identifier, value)
+                if fast is not None:
+                    self.ref_free_ids.add(identifier)
                 built += 1
                 self.pending_ref.pop(identifier, None)
                 self.pending_deref.pop(identifier, None)
-                if self.prov is not None:
+                if prov is not None:
                     self.prov_firings += 1
-                    if self.prov.record_firing(
+                    if prov.record_firing(
                         identifier,
-                        rule.name,
+                        name,
                         inputs=origins,
                         program=self.interp.program_name,
-                        skolem=lambda i=identifier: self.skolems.term_text(i),
+                        skolem=lambda i=identifier: skolems.term_text(i),
                     ):
                         self.prov_records += 1
         if built:
-            metrics.counter(M_RULE_OUTPUTS).inc(built, rule=rule.name)
+            metrics.counter(M_RULE_OUTPUTS).inc(built, rule=name)
         if skipped:
-            metrics.counter(M_CONSTRUCT_SKIPPED).inc(skipped, rule=rule.name)
+            metrics.counter(M_CONSTRUCT_SKIPPED).inc(skipped, rule=name)
 
-    def _origins_of(self, group: List[Binding], root_names: List[str]) -> Set[str]:
-        """Input-tree names contributing to one Skolem group: top-level
-        root matches, plus (for demand-driven applications) the origins
-        of the demanding output."""
-        origins: Set[str] = set(self._active_origins)
-        for binding in group:
-            for name in root_names:
-                index = self.index_of_root(binding.get(name))
+    def _skolem_groups(
+        self, rule: Rule, bindings: List[Binding]
+    ) -> Dict[str, Tuple[List[Binding], List[int]]]:
+        """Phase 4 on the tree path: *bindings* grouped by Skolem
+        identifier, in first encounter order, as identifier ->
+        (bindings, indices of the top-level roots they matched)."""
+        term = rule.head.term
+        skolem_id = self.constructor.skolem_id
+        index_of_root = self.index_of_root
+        root_names = [bp.name.name for bp in rule.root_body_patterns()]
+        groups: Dict[str, Tuple[List[Binding], List[int]]] = {}
+        for binding in bindings:
+            try:
+                identifier = skolem_id(term, binding, False)
+            except Unbound:
+                continue  # missing Skolem argument: no output for it
+            group = groups.get(identifier)
+            if group is None:
+                groups[identifier] = group = ([], [])
+            group[0].append(binding)
+            for root_name in root_names:
+                index = index_of_root(binding.get(root_name))
                 if index is not None:
-                    origins.add(self.input_names[index])
-        return origins
+                    group[1].append(index)
+        return groups
 
     # -- demand-driven evaluation -------------------------------------------------
 
@@ -733,9 +755,7 @@ class _RunState:
                 self.applied.add(key)  # can never match: remember the rejection
                 continue
             self.applied.add(key)
-            bindings = self.interp.rule_bindings(
-                rule, [subject], self.match_ctx, self.warnings, self.metrics
-            )
+            bindings = self._bindings(rule, [subject])
             if not bindings:
                 continue
             matched.add(rule.name)

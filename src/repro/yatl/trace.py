@@ -16,10 +16,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.trees import DataStore, Tree
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, collecting
 from .interpreter import (
     ConversionResult,
-    Interpreter,
     M_RULE_AFTER_CALLS,
     M_RULE_AFTER_PREDICATES,
     M_RULE_APPLICATIONS,
@@ -119,19 +118,11 @@ def explain(
     data: Union[DataStore, Sequence[Tree], Tree],
     **run_options,
 ) -> Trace:
-    """Run *program* over *data* once and explain it; see :class:`Trace`."""
-    program.validate()
+    """Run *program* over *data* once (``program.run(data,
+    **run_options)``) and explain it; see :class:`Trace`."""
     metrics = MetricsRegistry()
-    interpreter = Interpreter(
-        program.rules,
-        registry=program.registry,
-        model=program._context_model(),
-        hierarchy=program.hierarchy(),
-        metrics=metrics,
-        program_name=program.name,
-        **run_options,
-    )
-    result = interpreter.run(data)
+    with collecting(metrics):
+        result = program.run(data, **run_options)
     trace = Trace(metrics)
     trace.result = result
     # Per-rule phase statistics, straight from the instrumented run.

@@ -12,7 +12,6 @@ from repro.core.arena import (
     K_BOOL,
     K_FLOAT,
     K_INT,
-    K_REF,
     K_SYMBOL,
     label_alias_ids,
     label_kind,

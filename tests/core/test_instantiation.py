@@ -31,8 +31,8 @@ from repro.core.patterns import (
     ref_leaf,
     var,
 )
-from repro.core.trees import Ref, Tree, atom, tree
-from repro.core.variables import ANY, ATOMIC, STRING, SYMBOL, Var
+from repro.core.trees import Ref, atom, tree
+from repro.core.variables import ANY, ATOMIC, STRING
 from repro.errors import InstantiationError
 
 from .test_trees import trees

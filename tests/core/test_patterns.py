@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.labels import Symbol
 from repro.core.patterns import (
     GROUP,
     INDEX,
@@ -34,7 +33,7 @@ from repro.core.patterns import (
     walk,
     walk_edges,
 )
-from repro.core.variables import STRING, PatternVar, Var
+from repro.core.variables import STRING, Var
 from repro.errors import ModelError
 
 

@@ -23,7 +23,7 @@ from repro.core.syntax import (
     parse_pattern_tree,
     tokenize,
 )
-from repro.core.variables import ANY, STRING, SYMBOL, Var
+from repro.core.variables import STRING, Var
 from repro.errors import SyntaxYatError
 
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.labels import Symbol
-from repro.core.trees import DataStore, Ref, Tree, atom, render_tree, sym, tree
+from repro.core.trees import DataStore, Ref, Tree, atom, render_tree, tree
 from repro.errors import DanglingReferenceError
 
 

@@ -13,11 +13,9 @@ from repro.core.variables import (
     INT,
     STRING,
     SYMBOL,
-    AnyDomain,
     AtomTypeDomain,
     EnumDomain,
     PatternVar,
-    SymbolDomain,
     UnionDomain,
     Var,
     domain_by_name,

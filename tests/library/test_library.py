@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.trees import atom, tree
 from repro.errors import LibraryError
 from repro.library import (
     Library,
@@ -35,7 +34,6 @@ class TestGenericPrograms:
         from tests.conftest import make_brochure
         from repro.relational import Database, dealer_schema
         from repro.wrappers import RelationalImportWrapper
-        from repro.core.trees import DataStore
 
         db = Database(dealer_schema())
         db.insert("suppliers", 7, "VW center", "Paris", "Bd Lenoir", "01")

@@ -11,7 +11,6 @@ from repro.objectdb import (
     ObjectSchema,
     ObjectStore,
     Oid,
-    array_of,
     bag_of,
     car_dealer_schema,
     list_of,

@@ -4,7 +4,6 @@ import json
 
 from repro.obs import (
     MetricsRegistry,
-    SpanRecorder,
     chrome_trace,
     metrics_to_json,
     metrics_to_prometheus,

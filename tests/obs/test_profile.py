@@ -60,13 +60,13 @@ class TestPhaseAttribution:
 
 ARENA_INTERN = _key("intern", "/x/src/repro/core/arena.py", 101)
 ARENA_ENCODE = _key("encode", "/x/src/repro/core/arena.py", 269)
-ARENA_BATCH = _key("_match_candidates",
-                   "/x/src/repro/yatl/arena_exec.py", 548)
+ARENA_BATCH = _key("scan", "/x/src/repro/yatl/arena_exec.py", 110)
 ARENA_DECODE = _key("decode", "/x/src/repro/core/arena.py", 320)
 ARENA_MATCH = _key("match_block", "/x/src/repro/yatl/arena_exec.py", 90)
 ARENA_BUILD = _key("build_order", "/x/src/repro/yatl/arena_exec.py", 299)
 ARENA_HEAD = _key("build_leaf", "/x/src/repro/yatl/arena_exec.py", 256)
-ARENA_ENGINE = _key("fast_for", "/x/src/repro/yatl/arena_exec.py", 486)
+ARENA_ENGINE = _key("compile_fast_rule",
+                    "/x/src/repro/yatl/arena_exec.py", 482)
 
 
 class TestArenaPhase:

@@ -10,7 +10,6 @@ from repro.obs import (
     EventLog,
     MetricsRegistry,
     ProvenanceStore,
-    QualityReport,
     RotatingJsonlWriter,
     canonical_term,
     collecting,

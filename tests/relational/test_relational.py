@@ -6,7 +6,6 @@ from repro.errors import SchemaError
 from repro.relational import (
     Column,
     Database,
-    DatabaseSchema,
     Table,
     TableSchema,
     dealer_schema,

@@ -16,7 +16,6 @@ import pytest
 from repro.serve import MediatorServer
 from repro.serve.server import _Handler
 from repro.sgml.parser import MAX_DEPTH
-from repro.system import YatSystem
 from repro.workloads import brochure_sgml
 
 PROGRAM = "SgmlBrochuresToOdmg"

@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import SchemaError, WrapperError
 from repro.sgml import (
     Choice,
-    DTD,
-    Element,
-    ElementDecl,
-    NameRef,
     PCData,
-    Repeat,
     Seq,
     ValidationError,
     brochure_dtd,

@@ -11,16 +11,10 @@ from repro.core.labels import Symbol
 from repro.core.models import yat_model
 from repro.core.patterns import (
     PNode,
-    Pattern,
-    edge_group,
     edge_one,
-    edge_order,
-    edge_star,
-    pnode,
     var,
 )
-from repro.core.trees import Tree, atom, tree
-from repro.core.variables import Var
+from repro.core.trees import Tree
 from repro.yatl.ast import BodyPattern, HeadPattern, Rule
 from repro.yatl.bindings import Binding
 from repro.yatl.matching import MatchContext, match_child

@@ -8,8 +8,6 @@ scenario wrapper (relational, SGML, ODMG, HTML) plus the JSON wrapper
 stamps its forest through the same :func:`stamp_fingerprint` path.
 """
 
-import pytest
-
 from repro.core.trees import DataStore, tree
 from repro.obs import (
     DRIFT_GAUGE,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.trees import DataStore, Ref, Tree, atom, tree
+from repro.core.trees import DataStore, Ref, atom, tree
 from repro.errors import WrapperError
 from repro.wrappers import JsonExportWrapper, JsonImportWrapper
 

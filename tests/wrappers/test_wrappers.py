@@ -4,9 +4,9 @@ import pytest
 
 from repro.core import tree_is_instance
 from repro.core.models import odmg_model, relational_model, sgml_model
-from repro.core.trees import DataStore, Ref, Tree, atom, tree
+from repro.core.trees import DataStore, Ref, atom, tree
 from repro.errors import WrapperError
-from repro.objectdb import ObjectStore, Oid, car_dealer_schema
+from repro.objectdb import ObjectStore, car_dealer_schema
 from repro.relational import Database, dealer_schema
 from repro.sgml import brochure_dtd, element
 from repro.wrappers import (
@@ -69,7 +69,7 @@ class TestRelationalWrapper:
             RelationalExportWrapper(dealer_schema()).from_store(store)
 
     def test_nulls_dropped_on_import(self):
-        from repro.relational import Column, TableSchema, Table
+        from repro.relational import Column, TableSchema
         from repro.relational.database import Database as Db
         from repro.relational.schema import DatabaseSchema
 

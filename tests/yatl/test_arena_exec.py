@@ -257,35 +257,102 @@ class TestLazyDecoding:
         assert store.materialized_indices() == [*range(8), len(trees)]
 
 
+def parity_workloads():
+    """Compiled arena rules (dealer), the demand loop (O2Web), and
+    calls with shared Skolems (SgmlBrochuresToOdmg)."""
+    kinds = document_kind_names(4)
+    return [
+        (dealer_document_program(kinds), dealer_document_store(8, 40, kinds)),
+        (o2web_program(), OdmgImportWrapper().to_store(car_object_store(4, 3))),
+        (sgml_brochures_to_odmg(),
+         named(brochure_trees(6, distinct_suppliers=3))),
+    ]
+
+
+def run_both(program, store, capture):
+    """``capture(convert)`` for the tree path and for the arena path,
+    where ``convert()`` runs *program* over *store* on that path and
+    returns the result."""
+    tree_side = capture(
+        lambda: program.run(store, validate=False, use_arena=False)
+    )
+    arena_side = capture(
+        lambda: program.run(ArenaStore.from_data_store(store), validate=False)
+    )
+    return tree_side, arena_side
+
+
 class TestMetricsParity:
+    """A run's whole record (metrics, provenance, spans) is the same on
+    both representations, not only its outputs."""
+
     def test_core_counters_match_tree_path(self):
+        # Every yatl.* series per label: counter and gauge values and
+        # histogram observation counts (a histogram's value()).
         from repro.obs import MetricsRegistry, collecting
 
-        kinds = document_kind_names(4)
-        program = dealer_document_program(kinds)
-        store = dealer_document_store(8, 40, kinds)
-
-        def run_with_metrics(data, **options):
+        def series(convert):
             registry = MetricsRegistry()
             with collecting(registry):
-                program.run(data, **options)
-            return registry
+                convert()
+            return {
+                (metric.name, tuple(sorted(labels.items()))): value
+                for metric in registry
+                if metric.name.startswith("yatl.")
+                for labels, value in metric.samples()
+            }
 
-        tree_metrics = run_with_metrics(store, use_arena=False)
-        arena_metrics = run_with_metrics(ArenaStore.from_data_store(store))
-        for name in (
-            "yatl.inputs.total",
-            "yatl.inputs.converted",
-            "yatl.outputs.trees",
-            "yatl.rule.applications",
-            "yatl.rule.bindings_matched",
-            "yatl.dispatch.indexed_calls",
-            "yatl.dispatch.unindexed_calls",
-            "yatl.dispatch.subjects_considered",
-            "yatl.dispatch.subjects_admitted",
-            "yatl.dispatch.candidate_reduction_ratio",
-        ):
-            assert arena_metrics.value(name) == tree_metrics.value(name), name
+        for program, store in parity_workloads():
+            tree_series, arena_series = run_both(program, store, series)
+            assert arena_series == tree_series, program.name
+            per_rule = [
+                labels for name, labels in tree_series
+                if name == "yatl.rule.applications"
+            ]
+            assert per_rule and all(per_rule), program.name  # rule-labelled
+
+    def test_provenance_matches_tree_path(self):
+        from repro.obs import tracing
+
+        def lineage(convert):
+            with tracing() as store:
+                result = convert()
+            records = [
+                (r.output, r.rule, r.program, r.inputs, r.skolem)
+                for r in store.records()
+            ]
+            origins = {
+                name: result.lineage(name) for name in result.store.names()
+            }
+            return records, origins
+
+        for program, store in parity_workloads():
+            tree_side, arena_side = run_both(program, store, lineage)
+            assert arena_side == tree_side, program.name
+            assert tree_side[0], program.name  # non-vacuous
+
+    def test_span_tree_matches_tree_path(self):
+        from repro.obs import recording
+
+        def span_paths(convert):
+            with recording() as recorder:
+                convert()
+            spans = recorder.spans()
+            by_id = {s.span_id: s for s in spans}
+            paths = []
+            for s in spans:
+                path = []
+                while s is not None:
+                    path.append((s.name, sorted(s.args.items())))
+                    s = by_id.get(s.parent_id)
+                paths.append(path[::-1])
+            return paths
+
+        for program, store in parity_workloads():
+            tree_paths, arena_paths = run_both(program, store, span_paths)
+            assert arena_paths == tree_paths, program.name
+            assert any(path[-1][0] == "yatl.phase.construct"
+                       for path in tree_paths), program.name
 
     @pytest.mark.parametrize("use_dispatch_index", [True, False])
     def test_dispatch_counters_match_tree_path(self, use_dispatch_index):

@@ -5,7 +5,6 @@ import pytest
 from repro.core.labels import Symbol
 from repro.core.patterns import (
     NameTerm,
-    PRefLeaf,
     edge_one,
     edge_star,
     pnode,

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.core.labels import Symbol
-from repro.core.patterns import NameTerm, PNameLeaf, PNode, PRefLeaf, walk
+from repro.core.patterns import NameTerm, PNode, PRefLeaf, walk
 from repro.core.trees import atom, tree
 from repro.core.variables import Var
 from repro.errors import CompositionError
 from repro.yatl.compose import compose_programs
 from repro.yatl.parser import parse_program
-from tests.conftest import make_brochure
 
 
 @pytest.fixture

@@ -3,26 +3,18 @@
 import pytest
 
 from repro.core import parse_pattern_tree
-from repro.core.models import car_schema_model
 from repro.core.patterns import (
-    GROUP,
-    ONE,
-    ORDER,
     STAR,
     NameTerm,
-    PNameLeaf,
     PNode,
     Pattern,
     PRefLeaf,
     walk,
     walk_edges,
 )
-from repro.core.trees import DataStore, Ref, atom, tree
 from repro.core.variables import Var
 from repro.errors import CustomizationError
-from repro.yatl.ast import FunctionCall
 from repro.yatl.customize import Renamer, derive_rule, instantiate_program
-from repro.yatl.parser import parse_program
 
 
 class TestRenamer:
@@ -120,8 +112,7 @@ class TestCustomizationWorkflow:
     def test_new_webcar_drops_suppliers(self, web_program, car_schema, golf_store):
         """The paper's rule newWebCar: rewrite the derived rule to stop
         displaying suppliers, then run the customized program."""
-        from repro.yatl.ast import BodyPattern, HeadPattern, Rule
-        from repro.core.patterns import PEdge
+        from repro.yatl.ast import HeadPattern, Rule
 
         pcar = car_schema.pattern("Pcar")
         webcar = derive_rule(web_program, pcar, pcar.alternatives[0],

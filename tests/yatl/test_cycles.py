@@ -5,7 +5,6 @@ import pytest
 from repro.errors import CyclicProgramError
 from repro.yatl.cycles import (
     analyze_cycles,
-    check_cycles,
     dereference_dependencies,
     find_cycles,
     is_safe_recursive,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.labels import Symbol
 from repro.core.trees import Ref, atom, tree
-from repro.core.variables import ANY, INT, STRING
 from repro.errors import FunctionError, UnconvertedDataError
 from repro.yatl.functions import (
     FunctionRegistry,

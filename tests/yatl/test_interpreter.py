@@ -2,18 +2,14 @@
 
 import pytest
 
-from repro.core import parse_pattern_tree
-from repro.core.trees import DataStore, Ref, Tree, atom, tree
+from repro.core.trees import DataStore, Ref, atom, tree
 from repro.errors import (
-    CyclicProgramError,
     DanglingReferenceError,
     NonDeterminismError,
     UnconvertedDataError,
 )
-from repro.yatl.ast import BodyPattern, FunctionCall, HeadPattern, Rule
-from repro.yatl.parser import parse_program, parse_rule
+from repro.yatl.parser import parse_program
 from repro.yatl.program import Program
-from repro.core.variables import Var
 
 
 class TestFigure3:

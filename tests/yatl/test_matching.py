@@ -1,12 +1,8 @@
 """Body pattern matching: star edges, index edges, joins, references."""
 
-import pytest
-
 from repro.core import parse_pattern_tree
 from repro.core.models import car_schema_model
 from repro.core.trees import DataStore, Ref, atom, tree
-from repro.core.variables import Var
-from repro.errors import EvaluationError
 from repro.yatl.ast import BodyPattern, Rule, HeadPattern
 from repro.yatl.bindings import Binding
 from repro.yatl.matching import MatchContext, match_body, match_child

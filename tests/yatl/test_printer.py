@@ -1,7 +1,5 @@
 """The printer: re-parseable output for rules, programs and models."""
 
-import pytest
-
 from repro.core.models import odmg_model, sgml_model
 from repro.library import o2web_program, sgml_brochures_to_odmg
 from repro.library.store import render_model

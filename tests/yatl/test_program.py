@@ -5,7 +5,6 @@ import pytest
 from repro.core.trees import atom, tree
 from repro.errors import EvaluationError
 from repro.yatl.parser import parse_program, parse_rule
-from repro.yatl.program import Program
 
 
 def simple_program(name="P", rule_name="R", head="Out(X) : o -> X",

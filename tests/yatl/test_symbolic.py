@@ -4,15 +4,10 @@ import pytest
 
 from repro.core import parse_pattern_tree
 from repro.core.patterns import (
-    NameTerm,
-    PNameLeaf,
-    PNode,
-    PRefLeaf,
     PVarLeaf,
 )
-from repro.core.variables import PatternVar, Var
+from repro.core.variables import Var
 from repro.yatl.customize import Renamer, SymEnv, SymRef, _Specializer, open_holes
-from repro.yatl.program import Program
 
 
 @pytest.fixture

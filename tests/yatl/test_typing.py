@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.core.models import html_model, odmg_model, sgml_model, yat_model
+from repro.core.models import odmg_model, sgml_model, yat_model
 from repro.core.patterns import PNode, walk
-from repro.core.variables import ANY, INT, STRING, Var
+from repro.core.variables import INT, STRING, Var
 from repro.errors import TypingError
 from repro.yatl.parser import parse_program
 from repro.yatl.typing import (
     check_input_against,
     check_output_against,
     compatible_for_composition,
-    infer_signature,
     refine_domains,
 )
 

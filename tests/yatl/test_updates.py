@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.trees import DataStore, atom, tree
+from repro.core.trees import DataStore
 from repro.yatl.updates import affected_outputs, diff_results
 from tests.conftest import make_brochure
 
