@@ -43,7 +43,6 @@ KEY_METRICS = [
     "yatl.skolem.ids_fresh",
     "yatl.skolem.ids_reused",
     "yatl.demand.iterations",
-    "yatl.match.coverage_memo_hits",
 ]
 
 

@@ -832,10 +832,11 @@ class MediatorServer:
         self.registry.counter(
             "serve.requests", "conversion requests served"
         ).inc(program=program_name, status=str(status))
-        if status >= 400 and status != 429:
+        if status >= 400 and status not in (400, 429):
             # 429s are deliberate load shedding, not failures: they get
             # their own serve.rejected counter (incremented at the
-            # admission gate) instead of polluting the error rate.
+            # admission gate) instead of polluting the error rate. A 400
+            # is a body the wrappers or program refused: the client's fault.
             self.registry.counter("serve.errors", "failed requests").inc(
                 program=program_name, status=str(status)
             )

@@ -73,17 +73,24 @@ class Binding:
         return Binding(extended)
 
     def merge(self, other: "Binding") -> Optional["Binding"]:
-        """Combine two bindings; None if they disagree on any variable."""
-        if len(other._items) < len(self._items):
-            return other.merge(self)
-        merged = dict(other._items)
-        for name, value in self._items.items():
-            existing = merged.get(name)
-            if existing is None and name not in merged:
+        """Combine two bindings; None if they disagree on any variable.
+
+        As binding *other*'s items onto *self* one by one would: *self*'s
+        names come first and keep their values (``1`` stays ``1`` against
+        ``1.0``), and agreement is :meth:`bind`'s ``==``."""
+        if not self._items:
+            return other
+        items = self._items
+        merged = None
+        for name, value in other._items.items():
+            if name in items:
+                if not items[name] == value:
+                    return None
+            else:
+                if merged is None:
+                    merged = dict(items)
                 merged[name] = value
-            elif existing != value:
-                return None
-        return Binding(merged)
+        return self if merged is None else Binding(merged)
 
     def project(self, names: Sequence[str]) -> Tuple[Value, ...]:
         """Values of *names* in order (used for Skolem and grouping keys)."""

@@ -78,7 +78,6 @@ M_DISPATCH_REDUCTION = "yatl.dispatch.candidate_reduction_ratio"
 M_SKOLEM_FRESH = "yatl.skolem.ids_fresh"
 M_SKOLEM_REUSED = "yatl.skolem.ids_reused"
 M_SKOLEM_SIZE = "yatl.skolem.table_size"
-M_MATCH_COVERAGE_MEMO_HITS = "yatl.match.coverage_memo_hits"
 M_PROVENANCE_FIRINGS = "yatl.provenance.firings"
 M_PROVENANCE_RECORDS = "yatl.provenance.records"
 
@@ -878,7 +877,6 @@ class _RunState:
         m.counter(M_SKOLEM_FRESH).inc(self.skolems.fresh_ids)
         m.counter(M_SKOLEM_REUSED).inc(self.skolems.reused_ids)
         m.gauge(M_SKOLEM_SIZE).set(len(self.skolems))
-        m.counter(M_MATCH_COVERAGE_MEMO_HITS).inc(self.match_ctx.coverage_memo_hits)
         if self.prov_firings:
             m.counter(M_PROVENANCE_FIRINGS).inc(self.prov_firings)
         if self.prov_records:

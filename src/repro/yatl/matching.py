@@ -11,9 +11,11 @@ rule machinery works on. The semantics follow Figure 3:
   through unchanged, giving active-domain semantics for collections;
 * index edges ``(I)`` behave like ``*`` and additionally bind the
   1-based position of each matched child (Rule 5);
-* several body patterns join through shared variables (Rule 3), and a
-  body pattern whose name is bound by a ``&``-leaf of another pattern
-  matches the *referenced* tree (rule Web6).
+* several body patterns join through shared variables (Rule 3): each
+  root pattern is matched once per input tree and hash-joined with the
+  bindings so far (see :func:`match_body`), and a body pattern whose
+  name is bound by a ``&``-leaf of another pattern matches the
+  *referenced* tree (rule Web6).
 """
 
 from __future__ import annotations
@@ -46,23 +48,6 @@ class MatchContext:
         self.store = store
         self.model = model
         self._icontext: Optional[InstantiationContext] = None
-        # Memoized structural coverage: (pattern id, data node) -> bool.
-        # Used when a collection child conflicts with bound join
-        # variables and only shape matters (see match_edges).
-        self._coverage: Dict[Tuple[int, Union[Tree, Ref]], bool] = {}
-        # Memo-effectiveness accounting. A plain int: the probe runs
-        # per (pattern, subject) pair, so the interpreter flushes it
-        # into the run's MetricsRegistry once, at the end.
-        #
-        # There used to be a second memo here, over *root* match
-        # failures. With the dispatch index on, candidates are
-        # label-filtered before they reach the matcher, so the memo
-        # never fired (the dispatch-index benchmark measured
-        # root_memo_hits == 0 at a 1.0 dispatch hit ratio) while every
-        # root rejection still paid a set insert keyed by a full
-        # subject hash. It was removed rather than made index-aware;
-        # tests/yatl/test_dispatch.py pins the removal.
-        self.coverage_memo_hits = 0
 
     def instance_check(self, node: Union[Tree, Ref], pattern_name: str) -> bool:
         """Check *node* against a named model pattern; unresolvable
@@ -161,16 +146,8 @@ def match_child(
 
 
 def _covers(target, child, ctx: MatchContext) -> bool:
-    """Memoized structural coverage: does *child* match the shape of
-    *target* under a fresh binding?"""
-    key = (id(target), child)
-    cached = ctx._coverage.get(key)
-    if cached is None:
-        cached = bool(match_child(target, child, Binding.EMPTY, ctx))
-        ctx._coverage[key] = cached
-    else:
-        ctx.coverage_memo_hits += 1
-    return cached
+    """Does *child* match the shape of *target* under the empty binding?"""
+    return bool(match_child(target, child, Binding.EMPTY, ctx))
 
 
 def match_edges(
@@ -185,8 +162,12 @@ def match_edges(
     coverage, as in the instantiation semantics of Section 2). A
     star-like edge consumes a run of children; each child contributes
     its own bindings ("one binding per supplier"), and a child that
-    matches the target's *shape* but conflicts with already-bound join
-    variables (Rule 3's shared ``SN``) is covered without contributing.
+    matches the target's *shape* but conflicts with variables already
+    bound is covered without contributing. :func:`match_body` matches
+    a root pattern with only its name bound, so such a conflict is
+    with an earlier edge of the same pattern (an index variable met
+    twice selects a diagonal) or, in a dependent pattern, with the
+    rule's other patterns.
     """
     results: List[Binding] = []
     n_edges, n_children = len(edges), len(children)
@@ -251,7 +232,16 @@ def match_body(
 
     *Root* body patterns (those whose name is not bound by a leaf of
     another pattern) range over the input trees; dependent patterns
-    match the tree their name variable is already bound to."""
+    match the tree their name variable is already bound to.
+
+    Root patterns are hash-joined. Bindings only prune, so a pattern's
+    match under a binding equals its unconstrained match (only its name
+    bound) merged with that binding. Coverage agrees too: under either
+    form, a child that conflicts with the binding is covered exactly
+    when it matches the pattern's shape under the empty binding. So
+    each root pattern is matched once per input (:class:`_RootRows`)
+    and each binding is merged with the rows that agree with it, in
+    input order: the nested loop's bindings, in its order."""
     root_names = {bp.name.name for bp in rule.root_body_patterns()}
     envs: List[Binding] = [Binding.EMPTY]
     pending: List[BodyPattern] = list(rule.body)
@@ -286,28 +276,70 @@ def _apply_body_pattern(
     ctx: MatchContext,
 ) -> List[Binding]:
     extended: List[Binding] = []
+    root_rows: Optional[_RootRows] = None
     for env in envs:
         bound = env.get(bp.name)
         if bound is not None:
-            candidates = [bound]
+            # the one tree the name is bound to (a dependent pattern)
+            if isinstance(bound, (Tree, Ref)):
+                extended.extend(match_child(bp.tree, bound, env, ctx))
         elif is_root:
-            candidates = list(input_trees)
-        else:
-            continue  # dependent pattern with an unbound name: no match
-        for candidate in candidates:
+            if root_rows is None:
+                root_rows = _RootRows(bp, input_trees, ctx)
+            extended.extend(root_rows.join(env))
+    return extended
+
+
+class _RootRows:
+    """A root body pattern matched once per input tree, with only its
+    name bound: ``(input position, via referent, row)`` entries in
+    input order, bucketed on demand by the names a binding shares."""
+
+    def __init__(
+        self, bp: BodyPattern, input_trees: Sequence, ctx: MatchContext
+    ) -> None:
+        entries: List[Tuple[int, bool, Binding]] = []
+        for position, candidate in enumerate(input_trees):
             if not isinstance(candidate, (Tree, Ref)):
                 continue
-            named = env.bind(bp.name, candidate)
-            if named is None:
-                continue
-            matches = match_child(bp.tree, candidate, named, ctx)
-            if not matches and isinstance(candidate, Ref):
-                # A pattern over the *referenced* tree: follow the
-                # reference when the direct (reference-leaf) match fails.
+            nodes = [(candidate, False)]
+            if isinstance(candidate, Ref):
+                # the referent's rows serve bindings the direct match fails
                 resolved = ctx.resolve(candidate)
                 if resolved is not None:
-                    renamed = env.bind(bp.name, resolved)
-                    if renamed is not None:
-                        matches = match_child(bp.tree, resolved, renamed, ctx)
-            extended.extend(matches)
-    return extended
+                    nodes.append((resolved, True))
+            for node, via_referent in nodes:
+                named = Binding.EMPTY.bind(bp.name, node)
+                for row in match_child(bp.tree, node, named, ctx):
+                    entries.append((position, via_referent, row))
+        self.entries = entries
+        # Only names every row binds key a bucket. Keys compare by hash and
+        # ==, as bind does: a row in another bucket conflicts with the binding.
+        self.names = set(entries[0][2].names() if entries else ())
+        for entry in entries[1:]:
+            self.names.intersection_update(entry[2].names())
+        self.buckets: Dict[Tuple[str, ...], Dict[tuple, list]] = {}
+
+    def join(self, env: Binding) -> List[Binding]:
+        """*env* merged with every row that agrees with it, in input
+        order; a referent's rows only where the direct rows failed."""
+        shared = tuple(sorted(self.names.intersection(env.names())))
+        rows = self.entries
+        if shared:
+            buckets = self.buckets.get(shared)
+            if buckets is None:
+                buckets = self.buckets[shared] = {}
+                for entry in rows:
+                    buckets.setdefault(entry[2].project(shared), []).append(entry)
+            rows = buckets.get(env.project(shared), ())
+        joined: List[Binding] = []
+        direct_at = -1  # input position of the last direct row joined
+        for position, via_referent, row in rows:
+            if via_referent and position == direct_at:
+                continue
+            merged = env.merge(row)
+            if merged is not None:
+                joined.append(merged)
+                if not via_referent:
+                    direct_at = position
+        return joined

@@ -204,6 +204,14 @@ class TestConvert:
         ) == 1
         assert server.registry.counter("serve.errors").total() == 1
 
+    def test_malformed_body_is_not_an_error(self, server):
+        status, body, _ = post_convert(server, "<broken")
+        assert status == 400 and "error" in body
+        assert server.registry.value(
+            "serve.requests", program=PROGRAM, status="400"
+        ) == 1
+        assert server.registry.counter("serve.errors").total() == 0
+
 
 class TestMetricsEndpoint:
     def test_prometheus_exposition(self, server, payload):

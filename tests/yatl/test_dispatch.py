@@ -24,7 +24,7 @@ from repro.workloads import (
 )
 from repro.wrappers.relational import RelationalImportWrapper
 from repro.wrappers.sgml import SgmlImportWrapper
-from repro.yatl import MatchContext, match_body
+from repro.yatl import MatchContext, match_body, matching
 from repro.yatl.dispatch import (
     WILDCARD,
     DispatchStats,
@@ -201,28 +201,40 @@ class TestCandidateFiltering:
         assert not hasattr(ctx, "known_root_failure")
         assert not hasattr(ctx, "record_root_failure")
         assert not hasattr(ctx, "root_memo_hits")
-        # The coverage memo stays: see the Rule 3 test below.
-        assert ctx.coverage_memo_hits == 0
+        assert not hasattr(ctx, "coverage_memo_hits")
 
-    def test_coverage_memo_hits_on_rule3_join(self):
-        # The coverage memo serves Rule 3's join: a brochure's supplier
-        # children that conflict with the bound SN are covered by shape
-        # only, once per (pattern, child) pair. On the e2e benchmark at
-        # seed 7 it records 16,896 hits per rule3_join pass (0 on
-        # fig1_publish and dealer_ingest), and bypassing it roughly
-        # doubles that pass (0.5-0.7 s -> 1.0-1.3 s on a 2-CPU Xeon VM
-        # under CPython 3.11, same output digest).
-        database = dealer_database(suppliers=4, cars=6)
-        store = RelationalImportWrapper().to_store(database)
-        documents = brochure_elements(
-            6, distinct_suppliers=4, suppliers_per_brochure=2
-        )
-        wrapper = SgmlImportWrapper(coerce_numbers=False)
-        for number, doc in enumerate(documents, start=1):
-            store.add(f"b{number}", wrapper.element_to_tree(doc))
-        result = brochures_rule3_program().run(store)
-        assert result.ids_of("Pcar")
-        assert result.metrics.value("yatl.match.coverage_memo_hits") > 0
+    def test_rule3_join_matches_each_input_once(self, monkeypatch):
+        # Rule 3's root patterns are hash-joined: each is matched once
+        # per input tree, not once per binding so far, so quadrupling
+        # the brochures and cars must not come near 16x the matching.
+        # A nested-loop join read 3,131 -> 36,575 match_child calls
+        # (11.7x) here; the hash join reads 377 -> 1,349 (3.6x).
+        real = matching.match_child
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(matching, "match_child", counting)
+
+        def run(scale):
+            store = RelationalImportWrapper().to_store(
+                dealer_database(suppliers=4, cars=scale)
+            )
+            documents = brochure_elements(
+                scale, distinct_suppliers=4, suppliers_per_brochure=2
+            )
+            wrapper = SgmlImportWrapper(coerce_numbers=False)
+            for number, doc in enumerate(documents, start=1):
+                store.add(f"b{number}", wrapper.element_to_tree(doc))
+            calls[0] = 0
+            result = brochures_rule3_program().run(store)
+            assert len(result.ids_of("Pcar")) == scale
+            return calls[0]
+
+        small, large = run(12), run(48)
+        assert large <= 5 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------
