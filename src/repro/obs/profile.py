@@ -90,7 +90,6 @@ _INTERPRETER_FUNCS: Dict[str, str] = {
     "_skolem_groups": "construct",
     "_on_skolem": "skolem",
     "demand_loop": "demand",
-    "_demand": "demand",
     "finish": "splice",
     "splice": "splice",
 }

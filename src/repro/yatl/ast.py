@@ -203,6 +203,15 @@ class Rule:
         ]
         self.predicates = list(predicates)
         self.calls = list(calls)
+        bound_elsewhere: Set[str] = {
+            var.name
+            for bp in self.body
+            for var in collect_variables(bp.tree)
+            if isinstance(var, PatternVar)
+        }
+        self._root_body_patterns = [
+            bp for bp in self.body if bp.name.name not in bound_elsewhere
+        ]
 
     # -- analysis -----------------------------------------------------------
 
@@ -236,13 +245,9 @@ class Rule:
     def root_body_patterns(self) -> List[BodyPattern]:
         """Body patterns whose name is *not* bound by some other body
         pattern's leaf — these range over the input set; the others match
-        trees bound by reference or pattern-variable leaves."""
-        bound_elsewhere: Set[str] = set()
-        for bp in self.body:
-            for var in collect_variables(bp.tree):
-                if isinstance(var, PatternVar):
-                    bound_elsewhere.add(var.name)
-        return [bp for bp in self.body if bp.name.name not in bound_elsewhere]
+        trees bound by reference or pattern-variable leaves. Computed
+        once, with the body, in ``__init__``; do not mutate the list."""
+        return self._root_body_patterns
 
     def __repr__(self) -> str:
         return f"Rule({self.name!r})"

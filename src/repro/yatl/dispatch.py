@@ -28,11 +28,12 @@ subject, the full matcher is guaranteed to reject it too, so filtering
 candidates through the index never changes the produced bindings — only
 how fast non-matches are discarded.
 
-:class:`RootView` is where the top level applies them: one per run,
-over either forest representation (a list of trees or an
-:class:`~repro.core.arena.ArenaStore`), it hands each rule the root
-indices its signature admits — the only root-admission filter the
-interpreter has.
+:class:`RootView` is where the interpreter applies them, over either
+forest representation (a list of trees or an
+:class:`~repro.core.arena.ArenaStore`): it hands each rule the
+positions its signature admits. It is the one admission filter, for
+top-level roots, the leftovers fallback rules choose from, and the
+subjects of each demand round.
 """
 
 from __future__ import annotations
@@ -61,19 +62,17 @@ WILDCARD = None
 
 
 class DispatchStats:
-    """Per-run dispatch accounting, kept as plain ints.
+    """Per-run dispatch accounting, kept as plain ints that the
+    interpreter flushes into the run's :class:`~repro.obs.MetricsRegistry`
+    once, at the end.
 
-    Admission checks run once per (rule, subject) pair — hundreds of
-    thousands of times on realistic stores — so the index mutates bare
-    attributes here and the interpreter flushes them into the run's
-    :class:`~repro.obs.MetricsRegistry` once, at the end.
-
-    ``indexed_calls``/``unindexed_calls`` count top-level root
-    selections (:meth:`RootView.select`) by indexed and wildcard rules;
-    ``subjects_considered``/``subjects_admitted`` count the roots an
-    indexed rule was offered and the ones its signature admitted;
-    ``admit_checks``/``admit_rejections`` count the demand loop's
-    single-subject admission tests.
+    ``indexed_calls``/``unindexed_calls`` count selections
+    (:meth:`RootView.select`) by indexed and wildcard rules, over
+    top-level roots, leftovers and demand-round subjects alike;
+    ``subjects_considered``/``subjects_admitted`` count the subjects an
+    indexed rule was offered and the ones its signature admitted. The
+    hit and candidate-reduction ratios are computed from the flushed
+    totals, so shared registries aggregate them across runs.
     """
 
     __slots__ = (
@@ -81,8 +80,6 @@ class DispatchStats:
         "unindexed_calls",
         "subjects_considered",
         "subjects_admitted",
-        "admit_checks",
-        "admit_rejections",
     )
 
     def __init__(self) -> None:
@@ -90,26 +87,6 @@ class DispatchStats:
         self.unindexed_calls = 0
         self.subjects_considered = 0
         self.subjects_admitted = 0
-        self.admit_checks = 0
-        self.admit_rejections = 0
-
-    def hit_ratio(self) -> float:
-        """Fraction of candidate requests served by an indexed rule."""
-        calls = self.indexed_calls + self.unindexed_calls
-        return self.indexed_calls / calls if calls else 0.0
-
-    def reduction_ratio(self) -> float:
-        """Fraction of (rule, subject) match attempts the index pruned."""
-        if not self.subjects_considered:
-            return 0.0
-        return 1.0 - self.subjects_admitted / self.subjects_considered
-
-    def __repr__(self) -> str:
-        return (
-            f"DispatchStats(hit={self.hit_ratio():.2f}, "
-            f"reduction={self.reduction_ratio():.2f}, "
-            f"{self.admit_rejections}/{self.admit_checks} demand rejections)"
-        )
 
 
 class RootSignature:
@@ -159,7 +136,10 @@ class RootSignature:
 
     def admits(self, subject: Subject) -> bool:
         """Could the indexed pattern match *subject*? False only when a
-        full match is guaranteed to fail."""
+        full match is guaranteed to fail. The one-subject statement of
+        what :meth:`RootView.select` computes for a whole forest at
+        once: the tests check the two agree, and the interpreter only
+        selects."""
         if isinstance(subject, Ref):
             return True  # the matcher may follow the reference
         if self.refs_only:
@@ -230,8 +210,7 @@ class RuleDispatchIndex:
     """Per-rule root signatures, built once per program.
 
     Immutable, so one index is safely shared between runs of one
-    interpreter; each run applies it to its own inputs through a
-    :class:`RootView`, and the demand loop through :meth:`admits`.
+    interpreter; each run applies it through :class:`RootView`.
     """
 
     def __init__(self, rules: Sequence[Rule]) -> None:
@@ -241,23 +220,6 @@ class RuleDispatchIndex:
 
     def signature(self, rule: Rule) -> Optional[RootSignature]:
         return self._signatures.get(rule.name)
-
-    def admits(
-        self,
-        rule: Rule,
-        subject: Subject,
-        stats: Optional[DispatchStats] = None,
-    ) -> bool:
-        signature = self._signatures.get(rule.name)
-        if signature is None:
-            return True
-        if stats is None:
-            return signature.admits(subject)
-        stats.admit_checks += 1
-        admitted = signature.admits(subject)
-        if not admitted:
-            stats.admit_rejections += 1
-        return admitted
 
     def indexed_rules(self) -> List[str]:
         """Names of the rules that got a non-wildcard signature."""
@@ -269,24 +231,31 @@ class RuleDispatchIndex:
 
 
 class RootView:
-    """The top-level roots of one run, as root admission sees them.
+    """The subjects one selection offers rules, as admission sees them:
+    the top-level roots of a run, or the subjects one demand round
+    offers a functor's rules.
 
-    Maps root labels to root indices in input order and keeps each
-    root's child count. For a tree forest both come from
+    Maps root labels to positions in input order and keeps each root's
+    child count. For a tree forest both come from
     :attr:`Tree.root_signature`; for an :class:`ArenaStore` from the
     ``labels``/``n_children`` columns, keyed by interned label id and
-    looked up through :meth:`RootSignature.label_ids`. The map is built
-    on the first indexed selection, so at most once per run.
+    looked up through :meth:`RootSignature.label_ids`. :class:`Ref`
+    subjects (a demand round's, such as Web6's ``&Pobj``) are kept
+    apart: a ``&``-leaf signature selects exactly them, and every other
+    signature is offered them too, as :meth:`RootSignature.admits`
+    does. The map is built on the first indexed selection, so at most
+    once per view.
 
-    :meth:`select` is the interpreter's only root-admission filter, for
-    both representations, and the only code that moves the
+    :meth:`select` is the interpreter's only admission filter, for both
+    representations and for roots, leftovers and demand subjects alike,
+    and the only code that moves the
     ``indexed_calls``/``unindexed_calls``/``subjects_considered``/
     ``subjects_admitted`` counters of :class:`DispatchStats`.
     """
 
     def __init__(
         self,
-        forest: Union[Sequence[Tree], ArenaStore],
+        forest: Union[Sequence[Subject], ArenaStore],
         index: Optional[RuleDispatchIndex],
         stats: DispatchStats,
     ) -> None:
@@ -299,14 +268,16 @@ class RootView:
         self._labels: Optional[List] = None  # per root: label (id on an arena)
         self._arities: List[int] = []
         self._buckets: Dict[object, List[int]] = {}
+        self._refs: List[int] = []  # the positions of Ref subjects
 
     def select(
         self, rule: Rule, among: Optional[Sequence[int]] = None
     ) -> Sequence[int]:
-        """The indices of the roots *rule* is offered, in input order:
-        those its root signature admits, out of *among* when given (the
-        leftovers fallback rules choose from) or out of every root.
-        Without an index, or for a wildcard rule, every root offered."""
+        """The positions of the subjects *rule* is offered, in input
+        order: those its root signature admits, out of *among* when
+        given (the leftovers fallback rules choose from) or out of every
+        subject. Without an index, or for a wildcard rule, every subject
+        offered."""
         offered = range(len(self._forest)) if among is None else among
         if self._index is None:
             return offered
@@ -325,15 +296,18 @@ class RootView:
         return admitted
 
     def _admitted(self, signature: RootSignature) -> List[int]:
-        """Every root index *signature* admits, in input order."""
+        """Every position *signature* admits, in input order."""
         if self._labels is None:
             self._build()
+        refs = self._refs
         if signature.refs_only:
-            return []  # store roots are trees, never references
+            return list(refs)
         labels = self._labels
         intern = self._intern
         if signature.labels is None:
             picked = list(range(len(labels)))
+            if refs:
+                picked = [i for i in picked if labels[i] is not Ref]
         else:
             keys = signature.labels if intern is None else signature.label_ids(intern)
             buckets = self._buckets
@@ -348,9 +322,11 @@ class RootView:
         arities = self._arities
         arity = signature.min_children
         if not signature.unbounded:
-            return [i for i in picked if arities[i] == arity]
-        if arity:
-            return [i for i in picked if arities[i] >= arity]
+            picked = [i for i in picked if arities[i] == arity]
+        elif arity:
+            picked = [i for i in picked if arities[i] >= arity]
+        if refs:
+            picked = sorted(picked + refs)  # the matcher may follow a reference
         return picked
 
     def _build(self) -> None:
@@ -361,7 +337,10 @@ class RootView:
             self._labels = [labels[offset] for offset in arena.roots]
             self._arities = [n_children[offset] for offset in arena.roots]
         else:
-            signatures = [node.root_signature for node in forest]
+            signatures = [
+                (Ref, 0) if isinstance(node, Ref) else node.root_signature
+                for node in forest
+            ]
             self._labels = [label for label, _ in signatures]
             self._arities = [arity for _, arity in signatures]
         buckets = self._buckets
@@ -370,3 +349,4 @@ class RootView:
             if bucket is None:
                 buckets[label] = bucket = []
             bucket.append(index)
+        self._refs = buckets.pop(Ref, [])  # no signature label is the Ref type

@@ -42,7 +42,7 @@ from .construction import (
     deref_target,
     is_deref_placeholder,
 )
-from .dispatch import DispatchStats, RootView
+from .dispatch import DispatchStats, RootView, Subject
 from .functions import FunctionRegistry, evaluate_comparison, standard_registry
 from .hierarchy import Hierarchy
 from .matching import MatchContext, match_body
@@ -71,8 +71,6 @@ M_DISPATCH_INDEXED = "yatl.dispatch.indexed_calls"
 M_DISPATCH_UNINDEXED = "yatl.dispatch.unindexed_calls"
 M_DISPATCH_CONSIDERED = "yatl.dispatch.subjects_considered"
 M_DISPATCH_ADMITTED = "yatl.dispatch.subjects_admitted"
-M_DISPATCH_ADMIT_CHECKS = "yatl.dispatch.admit_checks"
-M_DISPATCH_ADMIT_REJECTIONS = "yatl.dispatch.admit_rejections"
 M_DISPATCH_HIT_RATIO = "yatl.dispatch.hit_ratio"
 M_DISPATCH_REDUCTION = "yatl.dispatch.candidate_reduction_ratio"
 M_SKOLEM_FRESH = "yatl.skolem.ids_fresh"
@@ -334,16 +332,11 @@ class _RunState:
         # varies with the process hash seed — Skolem numbering must not.
         self.pending_deref: Dict[str, None] = {}
         self.pending_ref: Dict[str, None] = {}
-        self.applied: Set[Tuple[str, Tree]] = set()  # (rule name, demand tree)
-        # Rule names that *matched* a demand subject, keyed by the
-        # subject itself. Persisted across demand iterations (and thus
-        # shared by structurally-equal subjects) so a general rule stays
-        # shadowed once a more specific one has matched the subject.
-        self.demand_matched: Dict[Union[Tree, Ref], Set[str]] = {}
         # The root ledger: per-root shadowing and conversion state, keyed
-        # by root index on both representations. `index_of_root` maps a
-        # root tree to its index (None for any other value): an arena
-        # store records its roots as it decodes them.
+        # by root index on both representations; demand subjects get
+        # indices past the inputs' (see demand_loop). `index_of_root`
+        # maps a root tree to its index (None for any other value): an
+        # arena store records its roots as it decodes them.
         self.input_names: List[str] = store.names()
         if self.arena is not None:
             self.index_of_root = store.index_of_tree
@@ -687,11 +680,20 @@ class _RunState:
 
     def demand_loop(self) -> None:
         """Evaluate pending dereferenced Skolems on their subtree
-        arguments until quiescence (safe recursion, Section 3.4)."""
-        by_functor: Dict[str, List[Rule]] = {}
-        for rule in self.order:
-            if rule.head is not None:
-                by_functor.setdefault(rule.head.term.functor, []).append(rule)
+        arguments until quiescence (safe recursion, Section 3.4).
+
+        A round offers each (functor, subject) pair its pending
+        identifiers demand, each pair in one round only. Every rule, in
+        hierarchy order, is offered its functor's subjects through a
+        :class:`RootView` and matched on each one it admits, shadowed in
+        the root ledger, where each distinct subject value has one index
+        past the inputs'. Outputs are then built pair by pair in pending
+        order, so Skolem identifiers are allocated in demand order."""
+        subject_index: Dict[Subject, int] = {}
+        offered: Set[Tuple[str, int]] = set()  # (functor, ledger index)
+        dispatch = self.interp.dispatch
+        shadowed = self.interp.hierarchy.shadowed
+        rules_matched = self.rules_matched
         iterations = 0
         rounds = 0
         while True:
@@ -703,64 +705,60 @@ class _RunState:
             if not pending:
                 break
             rounds += 1
-            progressed = False
+            iterations += len(pending)
+            if iterations > self.interp.max_demand_iterations:
+                raise CyclicProgramError(
+                    "demand-driven evaluation did not converge "
+                    f"(> {self.interp.max_demand_iterations} steps): "
+                    "the program is likely cyclic"
+                )
             with span("yatl.demand.round", round=rounds, pending=len(pending)):
+                # The round's new (functor, ledger index) pairs in pending
+                # order, each with the (rule, bindings) it will match; and
+                # per functor, the subjects its rules are offered.
+                matches: Dict[Tuple[str, int], list] = {}
+                offers: Dict[str, Tuple[List[Subject], List[int]]] = {}
                 for identifier in pending:
-                    iterations += 1
-                    if iterations > self.interp.max_demand_iterations:
-                        raise CyclicProgramError(
-                            "demand-driven evaluation did not converge "
-                            f"(> {self.interp.max_demand_iterations} steps): "
-                            "the program is likely cyclic"
-                        )
-                    if self._demand(identifier, by_functor):
-                        progressed = True
-            if not progressed:
+                    functor, args = self.skolems.key_of(identifier)
+                    subject = next(
+                        (a for a in args if isinstance(a, (Tree, Ref))), None
+                    )
+                    if subject is None:
+                        continue
+                    index = subject_index.setdefault(
+                        subject, self.n_inputs + len(subject_index)
+                    )
+                    if (functor, index) not in offered:
+                        offered.add((functor, index))
+                        matches[functor, index] = []
+                        subjects, indices = offers.setdefault(functor, ([], []))
+                        subjects.append(subject)
+                        indices.append(index)
+                views = {
+                    functor: RootView(subjects, dispatch, self.dispatch_stats)
+                    for functor, (subjects, _) in offers.items()
+                }
+                for rule in self.order:  # phases 1-3
+                    functor = rule.head_functor
+                    if functor not in views:
+                        continue
+                    subjects, indices = offers[functor]
+                    for position in views[functor].select(rule):
+                        index = indices[position]
+                        if shadowed(rule, rules_matched.get(index, ())):
+                            continue
+                        bindings = self._bindings(rule, [subjects[position]])
+                        if bindings:
+                            rules_matched.setdefault(index, set()).add(rule.name)
+                            matches[functor, index].append((rule, bindings))
+                for matched in matches.values():  # phases 4-5
+                    for rule, bindings in matched:
+                        self._construct_outputs(rule, bindings)
+            if not any(matches.values()):
                 break
         if iterations:
             self.metrics.counter(M_DEMAND_ITERATIONS).inc(iterations)
             self.metrics.counter(M_DEMAND_ROUNDS).inc(rounds)
-
-    def _demand(self, identifier: str, by_functor: Dict[str, List[Rule]]) -> bool:
-        functor, args = self.skolems.key_of(identifier)
-        defining = by_functor.get(functor, ())
-        if not defining:
-            return False
-        subject: Optional[Union[Tree, Ref]] = None
-        for arg in args:
-            if isinstance(arg, (Tree, Ref)):
-                subject = arg
-                break
-        if subject is None:
-            return False
-        progressed = False
-        # `applied` and `matched` both key on the subject's structural
-        # identity: Skolem terms are value-keyed, so equal subjects
-        # produce identical outputs, and the shadowing state must be
-        # shared too — a general rule stays shadowed once a more
-        # specific rule matched this subject, including on later
-        # iterations for a still-pending identifier.
-        matched = self.demand_matched.setdefault(subject, set())
-        dispatch = self.interp.dispatch
-        for rule in defining:
-            key = (rule.name, subject)
-            if key in self.applied:
-                continue
-            if self.interp.hierarchy.shadowed(rule, matched):
-                continue
-            if dispatch is not None and not dispatch.admits(
-                rule, subject, self.dispatch_stats
-            ):
-                self.applied.add(key)  # can never match: remember the rejection
-                continue
-            self.applied.add(key)
-            bindings = self._bindings(rule, [subject])
-            if not bindings:
-                continue
-            matched.add(rule.name)
-            self._construct_outputs(rule, bindings)
-            progressed = True
-        return progressed
 
     # -- final splicing ----------------------------------------------------------
 
@@ -862,8 +860,6 @@ class _RunState:
         m.counter(M_DISPATCH_UNINDEXED).inc(ds.unindexed_calls)
         m.counter(M_DISPATCH_CONSIDERED).inc(ds.subjects_considered)
         m.counter(M_DISPATCH_ADMITTED).inc(ds.subjects_admitted)
-        m.counter(M_DISPATCH_ADMIT_CHECKS).inc(ds.admit_checks)
-        m.counter(M_DISPATCH_ADMIT_REJECTIONS).inc(ds.admit_rejections)
         # Ratios are whole-registry gauges: recomputed from the counter
         # totals so shared registries aggregate correctly across runs.
         calls = m.value(M_DISPATCH_INDEXED) + m.value(M_DISPATCH_UNINDEXED)

@@ -31,9 +31,10 @@ from ..core.patterns import (
     PNameLeaf,
     PRefLeaf,
     PVarLeaf,
+    collect_variables,
 )
 from ..core.trees import DataStore, Ref, Tree
-from ..core.variables import Var
+from ..core.variables import PatternVar, Var
 from ..errors import EvaluationError
 from .ast import BodyPattern, Rule
 from .bindings import Binding, dedup_bindings
@@ -260,11 +261,27 @@ def match_body(
         if not envs:
             return []
     if pending:
-        names = ", ".join(bp.name.name for bp in pending)
-        raise EvaluationError(
-            f"rule {rule.name!r}: body pattern(s) {names} depend on names "
-            f"never bound by any other pattern"
+        # No binding binds these names. When a pattern reachable from the
+        # roots could (say, under a `*` edge over an empty collection),
+        # the inputs just do not match; when none could, the rule is wrong.
+        reachable = set(root_names)
+        for _ in rule.body:  # no chain of dependents is longer
+            reachable.update(
+                var.name
+                for bp in rule.body
+                if bp.name.name in reachable
+                for var in collect_variables(bp.tree)
+                if isinstance(var, PatternVar)
+            )
+        names = ", ".join(
+            bp.name.name for bp in pending if bp.name.name not in reachable
         )
+        if names:
+            raise EvaluationError(
+                f"rule {rule.name!r}: body pattern(s) {names} depend on names "
+                f"never bound by any other pattern"
+            )
+        return []
     return dedup_bindings(envs)
 
 

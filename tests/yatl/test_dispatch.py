@@ -2,6 +2,8 @@
 tree and arena forests, indexed/unindexed equivalence, and the
 fallback/demand accounting fixes."""
 
+import hashlib
+
 import pytest
 
 from repro.core import DataStore, Ref, atom, tree
@@ -19,9 +21,12 @@ from repro.library.programs import (
 from repro.workloads import (
     brochure_elements,
     brochure_trees,
+    car_object_store,
     dealer_database,
     sales_matrix,
 )
+from repro.obs import MetricsRegistry, collecting
+from repro.wrappers.odmg import OdmgImportWrapper
 from repro.wrappers.relational import RelationalImportWrapper
 from repro.wrappers.sgml import SgmlImportWrapper
 from repro.yatl import MatchContext, match_body, matching
@@ -183,6 +188,39 @@ class TestCandidateFiltering:
             off = DispatchStats()
             assert list(RootView(forest, None, off).select(rule2)) == [0, 1]
             assert off.unindexed_calls == off.subjects_considered == 0
+
+    def test_select_agrees_with_admits(self):
+        # RootView.select is RootSignature.admits applied to a whole
+        # forest at once, Ref subjects (demand rounds offer Web6's
+        # &Pobj) included: a `&`-leaf signature selects exactly the Refs,
+        # every other one offers them too, a wildcard admits everything.
+        objects = OdmgImportWrapper().to_store(car_object_store(3, 2)).trees()
+        brochures = brochure_trees(2, distinct_suppliers=2)
+        subjects = []
+        for root in objects + brochures:
+            for node in root.subtrees():
+                subjects.append(node)
+                subjects.extend(node.references()[:1])
+        assert any(isinstance(s, Ref) for s in subjects)
+        among = list(range(0, len(subjects), 3))
+        web = o2web_program()
+        for program in (web, sgml_brochures_to_odmg()):
+            index = RuleDispatchIndex(program.rules)
+            for rule in program.rules:
+                signature = index.signature(rule)
+                expected = [
+                    i for i, subject in enumerate(subjects)
+                    if signature is WILDCARD or signature.admits(subject)
+                ]
+                view = RootView(subjects, index, DispatchStats())
+                assert list(view.select(rule)) == expected, rule.name
+                assert list(view.select(rule, among)) == [
+                    i for i in expected if i in among
+                ], rule.name
+        view = RootView(subjects, RuleDispatchIndex(web.rules), DispatchStats())
+        refs = [s for s in subjects if isinstance(s, Ref)]
+        assert [subjects[i] for i in view.select(web.rule("Web6"))] == refs
+        assert list(view.select(web.rule("Web2"))) == list(range(len(subjects)))
 
     def test_root_failure_memo_removed(self, brochures_program, brochure_b1):
         # Regression pin for the PR10 decision: the root-failure memo
@@ -425,3 +463,78 @@ class TestDemandShadowing:
         )
         with pytest.raises(DanglingReferenceError):
             program.run([gold_box(1)])
+
+
+# ---------------------------------------------------------------------------
+# Demand rounds: one admission filter and one shadowing ledger
+# ---------------------------------------------------------------------------
+
+CROSS_TEXT = """
+program Cross
+rule Top:
+  Out(P) : out < -> {first}(Y), -> {second}(Y) >
+<=
+  P : x -> ^Y
+rule A:
+  F(Y) : from_a
+<=
+  Y : y
+rule B:
+  G(Y) : from_b
+<=
+  Y : y
+hierarchy A under B
+end
+"""
+
+
+def o2web_objects():
+    """O2Web's store for the tree/arena parity checks: 2 demand rounds."""
+    return OdmgImportWrapper().to_store(car_object_store(4, 3))
+
+
+class TestDemandRounds:
+    def test_rounds_select_through_root_view(self):
+        # Each rule is offered the roots once and, per demand round, the
+        # subjects its functor is demanded on, all through RootView: no
+        # single-subject admission probe is left to count.
+        program = o2web_program()
+        registry = MetricsRegistry()
+        with collecting(registry):
+            program.run(o2web_objects(), validate=False)
+        assert registry.value("yatl.demand.rounds") == 2
+        assert "yatl.dispatch.admit_checks" not in registry.names()
+        assert "yatl.dispatch.admit_rejections" not in registry.names()
+        demanded = [r for r in program.rules if r.head_functor == "HtmlElement"]
+        selections = registry.value("yatl.dispatch.indexed_calls") + registry.value(
+            "yatl.dispatch.unindexed_calls"
+        )
+        assert selections == len(program.rules) + 2 * len(demanded)
+
+    def test_o2web_output_digest(self):
+        # The exact output store, names included: demand rounds build
+        # outputs in (pending identifier, rule) order, so Skolem
+        # identifiers are numbered as the per-identifier loop did.
+        result = o2web_program().run(o2web_objects(), validate=False)
+        digest = hashlib.sha256()
+        for name, node in result.store:
+            digest.update(f"{name}\t{node}\n".encode())
+        assert len(result.store) == 29
+        assert digest.hexdigest() == (
+            "4d60198b5f9396ba4361ed63df83eb11e0845f33092abf12cb8619818db81ac4"
+        )
+
+    def test_enforced_cross_functor_order_ignores_head_order(self):
+        # `hierarchy A under B` across functors F and G, both demanded on
+        # one subject in one round: the round applies rules in hierarchy
+        # order, as the top level does per root, so A shadows B whichever
+        # head child comes first (and G(Y) is left without a value).
+        def outcome(first, second):
+            program = parse_program(CROSS_TEXT.format(first=first, second=second))
+            try:
+                return list(program.run([tree("x", tree("y"))]).store.items())
+            except DanglingReferenceError as exc:
+                return str(exc)
+
+        assert outcome("F", "G") == outcome("G", "F")
+        assert "'g1'" in outcome("G", "F")

@@ -1,9 +1,13 @@
 """Body pattern matching: star edges, index edges, joins, references."""
 
+import pytest
+
 from repro.core import parse_pattern_tree
 from repro.core.models import car_schema_model
 from repro.core.trees import DataStore, Ref, atom, tree
+from repro.errors import EvaluationError
 from repro.yatl.ast import BodyPattern, Rule, HeadPattern
+from repro.yatl.program import Program
 from repro.yatl.bindings import Binding
 from repro.yatl.matching import MatchContext, match_body, match_child
 
@@ -181,28 +185,27 @@ class TestMatchBody:
         envs = match_body(rule, [holder], MatchContext(store=golf_store))
         assert envs and all(str(e["Classname"]) == "supplier" for e in envs)
 
+    def test_dependency_left_unbound_does_not_match(self):
+        # B is bound only under A's `*` edge: an input with an empty
+        # collection binds nothing for B, so it does not match, whatever
+        # else is offered with it (each demand application offers one).
+        rule = self._rule(("A", "a *-> ^B"), ("B", "b"))
+        assert match_body(rule, [tree("a")], MatchContext()) == []
+        program = Program("P", [rule])
+        assert len(program.run([tree("a")]).unconverted) == 1
+        result = program.run([tree("a", tree("b")), tree("a")])
+        assert len(result.store) == 1
+        assert result.unconverted == [tree("a")]
+        # so does a dependent of the pattern that was never matched
+        chain = self._rule(("A", "a *-> ^B"), ("B", "b -> ^C"), ("C", "c"))
+        assert match_body(chain, [tree("a")], MatchContext()) == []
+
     def test_unresolvable_dependency_raises(self):
-        rule = self._rule(("A", "a"), ("B", "b"))
-        # B is a root too, so this matches; now make B dependent on an
-        # unbound name by using a pattern var that nothing produces.
-        rule2 = Rule(
-            "R2",
-            HeadPattern("Out", parse_pattern_tree("out")),
-            [
-                BodyPattern("A", parse_pattern_tree("a -> ^C")),
-                BodyPattern("B", parse_pattern_tree("b")),
-            ],
-        )
-        # rule2's B is independent; but a body pattern named C would be
-        # dependent on A's leaf: check the error path with an impossible one
-        rule3 = Rule(
-            "R3",
-            HeadPattern("Out", parse_pattern_tree("out")),
-            [BodyPattern("D", parse_pattern_tree("d"))],
-        )
-        object.__setattr__  # no-op; keep the rules referenced
-        envs = match_body(rule, [tree("a"), tree("b")], MatchContext())
-        assert envs
+        # No root pattern: A and B each wait for the other's leaf, so no
+        # input can ever bind them.
+        rule = self._rule(("A", "a -> ^B"), ("B", "b -> ^A"))
+        with pytest.raises(EvaluationError, match="never bound"):
+            match_body(rule, [tree("a", tree("b"))], MatchContext())
 
     def test_ref_candidate_matched_directly(self, golf_store):
         # a rule over reference inputs (Web6's shape: the &Pobj target
